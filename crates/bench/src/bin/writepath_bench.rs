@@ -142,25 +142,66 @@ fn baseline_wall_ms(baseline: &str, cell: &str) -> Option<f64> {
     tail[..end].parse().ok()
 }
 
-fn main() {
-    let mut out_path = "BENCH_writepath.json".to_string();
-    let mut record_baseline = false;
-    let mut file_mb = 10u64;
-    let mut sfs_secs = 10u64;
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
+const USAGE: &str = "\
+usage: writepath_bench [--out PATH] [--record-baseline] [--file-mb N] [--sfs-secs N]
+       writepath_bench --help
+
+  --out PATH         report to merge into (default BENCH_writepath.json)
+  --record-baseline  write the measurements under \"baseline\", not \"current\"
+  --file-mb N        size of each copy cell in MB (default 10)
+  --sfs-secs N       simulated seconds of the SFS cell (default 10)";
+
+/// Parsed command line.
+struct Options {
+    out_path: String,
+    record_baseline: bool,
+    file_mb: u64,
+    sfs_secs: u64,
+}
+
+/// Parse the arguments; `Ok(None)` means `--help` was asked for.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Option<Options>, String> {
+    let mut opts = Options {
+        out_path: "BENCH_writepath.json".to_string(),
+        record_baseline: false,
+        file_mb: 10,
+        sfs_secs: 10,
+    };
+    fn number(flag: &str, value: Option<String>) -> Result<u64, String> {
+        value
+            .and_then(|v| v.parse().ok())
+            .ok_or_else(|| format!("{flag} needs a number"))
+    }
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--out" => out_path = iter.next().expect("--out needs a path"),
-            "--record-baseline" => record_baseline = true,
-            "--file-mb" => {
-                file_mb = iter.next().and_then(|v| v.parse().ok()).expect("--file-mb needs a number")
-            }
-            "--sfs-secs" => {
-                sfs_secs = iter.next().and_then(|v| v.parse().ok()).expect("--sfs-secs needs a number")
-            }
-            other => panic!("unknown argument {other}; use --out PATH, --record-baseline, --file-mb N, --sfs-secs N"),
+            "--help" => return Ok(None),
+            "--out" => opts.out_path = args.next().ok_or("--out needs a path")?,
+            "--record-baseline" => opts.record_baseline = true,
+            "--file-mb" => opts.file_mb = number("--file-mb", args.next())?,
+            "--sfs-secs" => opts.sfs_secs = number("--sfs-secs", args.next())?,
+            other => return Err(format!("unknown argument {other}")),
         }
     }
+    Ok(Some(opts))
+}
+
+fn main() {
+    let Options {
+        out_path,
+        record_baseline,
+        file_mb,
+        sfs_secs,
+    } = match parse_args(std::env::args().skip(1)) {
+        Ok(Some(opts)) => opts,
+        Ok(None) => {
+            println!("{USAGE}");
+            return;
+        }
+        Err(msg) => {
+            eprintln!("writepath_bench: {msg}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
 
     let cells = measure(file_mb, sfs_secs);
     for c in &cells {

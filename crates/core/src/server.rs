@@ -33,8 +33,8 @@ use wg_simcore::FxHashMap;
 use wg_disk::{BlockDevice, DeviceStats, Disk, DiskRequest, StripeSet};
 use wg_net::SocketBuffer;
 use wg_nfsproto::{
-    CommitOk, DirOpOk, NfsCall, NfsCallBody, NfsReply, NfsReplyBody, NfsStatus, Payload, ReadOk,
-    RenewOk, StableHow, StatfsOk, StatusReply, WriteArgs, WriteVerfOk, Xid,
+    CommitOk, DirEntry, DirOpOk, NfsCall, NfsCallBody, NfsReply, NfsReplyBody, NfsStatus, Payload,
+    ReadOk, ReaddirOk, RenewOk, StableHow, StatfsOk, StatusReply, WriteArgs, WriteVerfOk, Xid,
 };
 use wg_nvram::{Presto, PrestoParams};
 use wg_simcore::{Duration, MultiCpu, SimTime, Trace, TraceKind};
@@ -55,6 +55,41 @@ fn write_source(payload: &Payload) -> WriteSource<'_> {
 /// Clamp a 64-bit block count into a 32-bit protocol field.
 fn saturate_u32(v: u64) -> u32 {
     v.min(u32::MAX as u64) as u32
+}
+
+/// Fill one READDIR page from a directory walk that starts at `cookie`.
+///
+/// Entries are taken while the whole encoded reply stays within the
+/// client's `count`, so a page costs O(page) however large the directory;
+/// `eof` is set only when the walk is exhausted.  A `count` too small for
+/// the next entry is answered with TOOSMALL: an empty page without `eof`
+/// would send the client round the same cookie for ever.
+fn readdir_page<'a>(
+    entries: impl Iterator<Item = (&'a Arc<str>, InodeNumber)>,
+    cookie: u32,
+    count: u32,
+) -> StatusReply<Arc<ReaddirOk>> {
+    let empty = NfsReplyBody::Readdir(StatusReply::Ok(Arc::default()));
+    let Some(mut room) = (count as usize).checked_sub(NfsReply::new(Xid(0), empty).wire_size())
+    else {
+        return StatusReply::Err(NfsStatus::TooSmall);
+    };
+    let mut entries = entries.peekable();
+    let mut page = Vec::new();
+    while let Some((name, ino)) = entries.next_if(|(name, _)| DirEntry::wire_size_of(name) <= room)
+    {
+        room -= DirEntry::wire_size_of(name);
+        page.push(DirEntry {
+            fileid: saturate_u32(ino),
+            name: Arc::clone(name),
+            cookie: cookie + page.len() as u32 + 1,
+        });
+    }
+    let eof = entries.peek().is_none();
+    if page.is_empty() && !eof {
+        return StatusReply::Err(NfsStatus::TooSmall);
+    }
+    StatusReply::Ok(Arc::new(ReaddirOk { entries: page, eof }))
 }
 
 /// Seed of the write/commit boot-instance verifier.  The live verifier is
@@ -707,14 +742,14 @@ impl NfsServer {
                 },
                 Err(e) => NfsReplyBody::DirOp(StatusReply::Err(fs_error_to_status(e))),
             },
-            NfsCallBody::Readdir(a) => {
-                // The filesystem memoises the listing behind an Arc; the reply
-                // (and any cached replay of it) shares that allocation.
-                match ino_from_handle(&self.fs, &a.dir).and_then(|dir| self.fs.readdir(dir)) {
-                    Ok(names) => NfsReplyBody::Readdir(StatusReply::Ok(names)),
-                    Err(e) => NfsReplyBody::Readdir(StatusReply::Err(fs_error_to_status(e))),
-                }
-            }
+            NfsCallBody::Readdir(a) => NfsReplyBody::Readdir(
+                match ino_from_handle(&self.fs, &a.dir)
+                    .and_then(|dir| self.fs.readdir(dir, a.cookie))
+                {
+                    Ok(entries) => readdir_page(entries, a.cookie, a.count),
+                    Err(e) => StatusReply::Err(fs_error_to_status(e)),
+                },
+            ),
             NfsCallBody::Setattr(a) => match ino_from_handle(&self.fs, &a.file).and_then(|ino| {
                 let size = if a.attributes.size == u32::MAX {
                     None
@@ -1870,6 +1905,131 @@ mod tests {
         let root = server.fs().root();
         let ino = server.fs_mut().create(root, "target", 0o644, 0).unwrap();
         (server, ino)
+    }
+
+    /// Serve one READDIR of the root through the whole request path.
+    fn readdir_root(server: &mut NfsServer, xid: u32, cookie: u32, count: u32) -> NfsReply {
+        let call = NfsCall::new(
+            Xid(xid),
+            NfsCallBody::Readdir(wg_nfsproto::ReaddirArgs {
+                dir: server.root_handle(),
+                cookie,
+                count,
+            }),
+        );
+        let at = SimTime::from_millis(10 * xid as u64);
+        let mut replies = run_to_completion(server, vec![(at, datagram(call))]);
+        assert_eq!(replies.len(), 1);
+        replies.pop().unwrap().1
+    }
+
+    fn page_of(reply: &NfsReply) -> &ReaddirOk {
+        match &reply.body {
+            NfsReplyBody::Readdir(StatusReply::Ok(page)) => page,
+            other => panic!("expected a READDIR page, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn readdir_pages_a_large_directory_by_cookie_in_bounded_replies() {
+        let (mut server, _) = make_server(WritePolicy::Gathering);
+        let root = server.fs().root();
+        for i in 0..10_000 {
+            server
+                .fs_mut()
+                .create(root, &format!("f{i:05}"), 0o644, 0)
+                .unwrap();
+        }
+        let names: Vec<Arc<str>> = server
+            .fs_mut()
+            .readdir(root, 0)
+            .unwrap()
+            .map(|(name, _)| Arc::clone(name))
+            .collect();
+        assert_eq!(names.len(), 10_001, "10,000 files plus \"target\"");
+
+        let mut xid = 0;
+        let mut seen: Vec<Arc<str>> = Vec::new();
+        let mut pages = 0;
+        let mut cookie = 0;
+        loop {
+            xid += 1;
+            let reply = readdir_root(&mut server, xid, cookie, 4096);
+            assert!(
+                reply.wire_size() <= 4096,
+                "page of {} bytes",
+                reply.wire_size()
+            );
+            let page = page_of(&reply);
+            assert!(!page.entries.is_empty(), "a non-final page is never empty");
+            pages += 1;
+            for e in &page.entries {
+                seen.push(Arc::clone(&e.name));
+                assert_eq!(e.cookie as usize, seen.len(), "cookie of entry i is i + 1");
+                assert_eq!(server.fs_mut().lookup(root, &e.name), Ok(e.fileid as u64));
+            }
+            cookie = page.entries.last().unwrap().cookie;
+            if page.eof {
+                break;
+            }
+        }
+        assert_eq!(seen, names, "every name exactly once, in order");
+        assert!(pages > 50, "{pages} pages");
+        // Resuming from the last cookie finds nothing more: the end is final.
+        xid += 1;
+        let tail = readdir_root(&mut server, xid, cookie, 4096);
+        assert_eq!(
+            page_of(&tail),
+            &ReaddirOk {
+                entries: vec![],
+                eof: true
+            }
+        );
+
+        // One READDIR touches only its page: a name past it is not cloned,
+        // while a name on it is shared by the reply.
+        let (on_page, past_page) = (&names[0], &names[5_000]);
+        let (on_before, past_before) = (Arc::strong_count(on_page), Arc::strong_count(past_page));
+        xid += 1;
+        let first = readdir_root(&mut server, xid, 0, 4096);
+        assert!(!page_of(&first).eof);
+        assert_eq!(Arc::strong_count(past_page), past_before);
+        assert!(Arc::strong_count(on_page) > on_before);
+    }
+
+    #[test]
+    fn readdir_count_too_small_for_one_entry_is_an_error_not_an_empty_page() {
+        let (mut server, _) = make_server(WritePolicy::Gathering);
+        let frame = NfsReply::new(
+            Xid(0),
+            NfsReplyBody::Readdir(StatusReply::Ok(Arc::default())),
+        )
+        .wire_size();
+        let entry = DirEntry::wire_size_of("target");
+        let root = server.fs().root();
+        server.fs_mut().create(root, "zz", 0o644, 0).unwrap();
+        // One byte short of the first entry: TOOSMALL, never a page without
+        // eof that would send the client round the same cookie again.
+        let short = readdir_root(&mut server, 1, 0, (frame + entry - 1) as u32);
+        assert_eq!(short.body.status(), NfsStatus::TooSmall);
+        // Exactly one entry's room: one entry, not the end, and a full page.
+        let one = readdir_root(&mut server, 2, 0, (frame + entry) as u32);
+        assert_eq!(one.wire_size(), frame + entry);
+        let page = page_of(&one);
+        assert_eq!((page.entries.len(), page.eof), (1, false));
+        assert_eq!(&*page.entries[0].name, "target");
+        // A count below even the empty reply is refused too.
+        let tiny = readdir_root(&mut server, 3, 2, (frame - 1) as u32);
+        assert_eq!(tiny.body.status(), NfsStatus::TooSmall);
+        // The bare frame is enough to learn that the walk is over.
+        let end = readdir_root(&mut server, 4, 2, frame as u32);
+        assert_eq!(
+            page_of(&end),
+            &ReaddirOk {
+                entries: vec![],
+                eof: true
+            }
+        );
     }
 
     #[test]

@@ -390,7 +390,11 @@ impl ClientStateTable {
             .get_mut(&args.client_id)
             .expect("lease checked above");
         record.consume_seqid(args.stateid, args.seqid);
-        record.locks.push(wanted);
+        // Re-locking a range the owner already holds (a client that gave up
+        // on a lost reply and asked again) leaves one lock, not two.
+        if !record.locks.contains(&wanted) {
+            record.locks.push(wanted);
+        }
         Ok(LockOk {
             stateid: args.stateid,
             seqid: args.seqid,
@@ -664,6 +668,18 @@ mod tests {
         assert_eq!(s.stats().locks_released, 1);
         let replay = UnlockArgs { seqid: 3, ..unlock };
         assert_eq!(s.unlock(&replay, t(4)), NfsStatus::Denied);
+    }
+
+    #[test]
+    fn relocking_a_held_range_keeps_one_lock() {
+        let mut s = table();
+        s.renew(1, 7, t(0));
+        assert!(s.lock(&lock_args(1, 10, 1, false), t(1)).is_ok());
+        let bytes = s.table_bytes();
+        // The client gave up on a lost reply and asks again with a new seqid.
+        assert!(s.lock(&lock_args(1, 10, 2, false), t(2)).is_ok());
+        assert_eq!(s.held_locks(), 1);
+        assert_eq!(s.table_bytes(), bytes);
     }
 
     #[test]

@@ -52,6 +52,10 @@ pub enum NfsStatus {
     /// admitted, new state requests must be retried after it ends
     /// (NFS4ERR_GRACE).
     Grace,
+    /// A READDIR `count` too small to hold even one entry (the NFSv3
+    /// NFS3ERR_TOOSMALL code): answering with an empty, non-final page
+    /// instead would make the client loop on the same cookie.
+    TooSmall,
 }
 
 impl NfsStatus {
@@ -76,6 +80,7 @@ impl NfsStatus {
             NfsStatus::Denied => 10010,
             NfsStatus::Expired => 10011,
             NfsStatus::Grace => 10013,
+            NfsStatus::TooSmall => 10018,
         }
     }
 
@@ -100,6 +105,7 @@ impl NfsStatus {
             10010 => NfsStatus::Denied,
             10011 => NfsStatus::Expired,
             10013 => NfsStatus::Grace,
+            10018 => NfsStatus::TooSmall,
             other => {
                 return Err(XdrError::InvalidEnum {
                     type_name: "NfsStatus",
@@ -431,6 +437,7 @@ mod tests {
             NfsStatus::Denied,
             NfsStatus::Expired,
             NfsStatus::Grace,
+            NfsStatus::TooSmall,
         ] {
             assert_eq!(NfsStatus::from_code(s.code()).unwrap(), s);
             let bytes = to_bytes(&s);

@@ -35,9 +35,10 @@ pub use handle::FileHandle;
 pub use message::{NfsCall, NfsCallBody, NfsReply, NfsReplyBody, WireMessage};
 pub use payload::Payload;
 pub use procs::{
-    CommitArgs, CommitOk, CreateArgs, DirOpArgs, DirOpOk, GetattrArgs, LockArgs, LockOk,
-    LookupArgs, ProcNumber, ReadArgs, ReadOk, ReaddirArgs, RemoveArgs, RenewArgs, RenewOk,
-    SetattrArgs, StableHow, StatfsOk, StatusReply, UnlockArgs, WriteArgs, WriteVerf, WriteVerfOk,
+    CommitArgs, CommitOk, CreateArgs, DirEntry, DirOpArgs, DirOpOk, GetattrArgs, LockArgs, LockOk,
+    LookupArgs, ProcNumber, ReadArgs, ReadOk, ReaddirArgs, ReaddirOk, RemoveArgs, RenewArgs,
+    RenewOk, SetattrArgs, StableHow, StatfsOk, StatusReply, UnlockArgs, WriteArgs, WriteVerf,
+    WriteVerfOk,
 };
 pub use rpc::{AuthFlavor, RejectReason, RpcCallHeader, RpcReplyHeader, RpcReplyStatus, Xid};
 

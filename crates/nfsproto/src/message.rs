@@ -14,8 +14,8 @@ use std::sync::OnceLock;
 use crate::attr::{Fattr, NfsStatus, Sattr};
 use crate::procs::{
     CommitArgs, CommitOk, CreateArgs, DirOpArgs, DirOpOk, GetattrArgs, LockArgs, LockOk,
-    ProcNumber, ReadArgs, ReadOk, ReaddirArgs, RenewArgs, RenewOk, SetattrArgs, StatfsOk,
-    StatusReply, UnlockArgs, WriteArgs, WriteVerfOk,
+    ProcNumber, ReadArgs, ReadOk, ReaddirArgs, ReaddirOk, RenewArgs, RenewOk, SetattrArgs,
+    StatfsOk, StatusReply, UnlockArgs, WriteArgs, WriteVerfOk,
 };
 use crate::rpc::{RpcCallHeader, RpcReplyHeader, Xid};
 use crate::NFS_FHSIZE;
@@ -23,7 +23,7 @@ use wg_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder, XdrError};
 
 /// Wire size of an XDR variable-length opaque (or string) of `len` bytes:
 /// the length word plus the data padded to a 4-byte boundary.
-fn opaque_wire_size(len: usize) -> usize {
+pub(crate) fn opaque_wire_size(len: usize) -> usize {
     4 + len.div_ceil(4) * 4
 }
 
@@ -262,11 +262,10 @@ pub enum NfsReplyBody {
     Read(StatusReply<ReadOk>),
     /// REMOVE / RMDIR reply: just a status.
     Status(NfsStatus),
-    /// READDIR reply: names only (entries are summarised as a name list in
-    /// this reproduction; cookies and eof handling live in the server model).
-    /// The list is shared so caching or replaying the reply never clones the
-    /// names.
-    Readdir(StatusReply<std::sync::Arc<Vec<std::sync::Arc<str>>>>),
+    /// READDIR reply ("readdirres"): one page of entries, each with its
+    /// fileid and resume cookie, plus the eof flag.  The page is shared, so
+    /// the duplicate request cache's copy costs one reference count.
+    Readdir(StatusReply<std::sync::Arc<ReaddirOk>>),
     /// STATFS reply.
     Statfs(StatusReply<StatfsOk>),
     /// WRITE reply carrying stability + boot verifier, emitted only by a
@@ -331,13 +330,7 @@ impl NfsReplyBody {
             NfsReplyBody::Attr(StatusReply::Ok(_)) => 4 + fattr_wire_size(),
             NfsReplyBody::DirOp(StatusReply::Ok(_)) => 4 + NFS_FHSIZE + fattr_wire_size(),
             NfsReplyBody::Read(StatusReply::Ok(r)) => 4 + fattr_wire_size() + r.data.xdr_size(),
-            NfsReplyBody::Readdir(StatusReply::Ok(names)) => {
-                4 + 4
-                    + names
-                        .iter()
-                        .map(|n| opaque_wire_size(n.len()))
-                        .sum::<usize>()
-            }
+            NfsReplyBody::Readdir(StatusReply::Ok(page)) => 4 + page.wire_size(),
             NfsReplyBody::Statfs(StatusReply::Ok(_)) => 4 + 20,
             // status + fattr + stable_how word + 8-byte verifier.
             NfsReplyBody::WriteVerf(StatusReply::Ok(_)) => 4 + fattr_wire_size() + 4 + 8,
@@ -476,6 +469,21 @@ mod tests {
         FileHandle::new(1, 10, 1)
     }
 
+    /// A READDIR page over `names`, numbered as the walk from `first`
+    /// would number them.
+    fn page(first: u32, names: &[&str], eof: bool) -> NfsReplyBody {
+        let entries = names
+            .iter()
+            .zip(first..)
+            .map(|(name, i)| crate::DirEntry {
+                fileid: 100 + i,
+                name: (*name).into(),
+                cookie: i + 1,
+            })
+            .collect();
+        NfsReplyBody::Readdir(StatusReply::Ok(ReaddirOk { entries, eof }.into()))
+    }
+
     #[test]
     fn write_call_roundtrip_and_size() {
         let call = NfsCall::new(
@@ -583,7 +591,8 @@ mod tests {
             })),
             NfsReplyBody::Status(NfsStatus::Ok),
             NfsReplyBody::Status(NfsStatus::Stale),
-            NfsReplyBody::Readdir(StatusReply::Ok(vec!["a".into(), "b".into()].into())),
+            page(0, &["a", "b"], true),
+            page(0, &[], true),
             NfsReplyBody::Statfs(StatusReply::Ok(StatfsOk {
                 tsize: 8192,
                 bsize: 8192,
@@ -728,9 +737,16 @@ mod tests {
             })),
             NfsReplyBody::Read(StatusReply::Err(NfsStatus::Io)),
             NfsReplyBody::Status(NfsStatus::Stale),
-            NfsReplyBody::Readdir(StatusReply::Ok(
-                vec!["a".into(), "file_with_longer_name".into()].into(),
-            )),
+            // Empty directory, one entry, a full non-final page (names of
+            // every padding residue), and the final page.
+            page(0, &[], true),
+            page(0, &["only"], true),
+            page(
+                0,
+                &["a", "bb", "ccc", "dddd", "file_with_longer_name"],
+                false,
+            ),
+            page(5, &["y", "zz"], true),
             NfsReplyBody::Readdir(StatusReply::Err(NfsStatus::NotDir)),
             NfsReplyBody::Statfs(StatusReply::Ok(StatfsOk {
                 tsize: 8192,
@@ -766,6 +782,38 @@ mod tests {
             let reply = NfsReply::new(Xid(9), body);
             assert_eq!(reply.wire_size(), reply.to_wire().len(), "{:?}", reply.body);
         }
+    }
+
+    #[test]
+    fn corrupt_readdir_entry_lists_are_rejected_not_panicking() {
+        let wire = NfsReply::new(Xid(3), page(0, &["a", "bcd"], false)).to_wire();
+        let parse = |bytes: &[u8]| {
+            NfsReply::from_wire(&WireMessage {
+                bytes: bytes.to_vec(),
+            })
+        };
+        assert!(parse(&wire.bytes).is_ok());
+        // Every truncation — mid-entry, mid-name, before the terminator or
+        // the eof word — is an error.
+        for cut in 0..wire.len() {
+            assert!(parse(&wire.bytes[..cut]).is_err(), "cut at {cut}");
+        }
+        // An extra entry after the terminator is trailing garbage.
+        let mut overlong = wire.bytes.clone();
+        overlong.extend_from_slice(&[0, 0, 0, 1, 0, 0, 0, 7]);
+        assert!(matches!(parse(&overlong), Err(XdrError::TrailingBytes(8))));
+        // The terminator is a bool: any other value-follows word is refused.
+        let end = wire.len() - 8;
+        let mut bad = wire.bytes.clone();
+        bad[end + 3] = 2;
+        assert!(matches!(parse(&bad), Err(XdrError::InvalidBool(2))));
+        // A name claiming more bytes than the message holds.  The last
+        // name's length word precedes its padded bytes, its cookie, the
+        // terminator and the eof word: 4 × 4 bytes from the end.
+        let name_len = wire.len() - 20;
+        let mut long = wire.bytes.clone();
+        long[name_len..name_len + 4].copy_from_slice(&u32::MAX.to_be_bytes());
+        assert!(matches!(parse(&long), Err(XdrError::LengthTooLarge { .. })));
     }
 
     #[test]

@@ -739,6 +739,82 @@ impl XdrDecode for ReaddirArgs {
     }
 }
 
+/// One entry of a READDIR page (RFC 1094 `entry`).
+#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub struct DirEntry {
+    /// Inode number of the named file.
+    pub fileid: u32,
+    /// The entry name, shared with the directory rather than copied.
+    pub name: std::sync::Arc<str>,
+    /// Cookie that resumes the listing just past this entry.
+    pub cookie: u32,
+}
+
+impl DirEntry {
+    /// Encoded size of an entry named `name`: the value-follows word,
+    /// fileid, the XDR string and the 4-byte cookie.
+    pub fn wire_size_of(name: &str) -> usize {
+        4 + 4 + crate::message::opaque_wire_size(name.len()) + 4
+    }
+}
+
+/// The successful result of READDIR (RFC 1094 `readdirres`): one page of
+/// entries and whether it reaches the end of the directory.
+///
+/// On the wire the entries are a linked list: each is preceded by a
+/// value-follows word of 1, and the list ends with a 0 followed by `eof`.
+#[derive(Clone, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub struct ReaddirOk {
+    /// The entries of this page, in directory order.
+    pub entries: Vec<DirEntry>,
+    /// `true` if no entry follows the last one in `entries`.
+    pub eof: bool,
+}
+
+impl ReaddirOk {
+    /// Encoded size: every entry, the list terminator and the eof word.
+    pub fn wire_size(&self) -> usize {
+        self.entries
+            .iter()
+            .map(|e| DirEntry::wire_size_of(&e.name))
+            .sum::<usize>()
+            + 8
+    }
+}
+
+impl XdrEncode for ReaddirOk {
+    fn encode(&self, enc: &mut XdrEncoder) {
+        for e in &self.entries {
+            enc.put_bool(true);
+            enc.put_u32(e.fileid);
+            enc.put_string(&e.name);
+            enc.put_u32(e.cookie);
+        }
+        enc.put_bool(false);
+        enc.put_bool(self.eof);
+    }
+}
+
+impl XdrDecode for ReaddirOk {
+    /// Every entry consumes at least 16 bytes of input, so a corrupt list
+    /// ends in an error (truncation, bad value-follows word, a name longer
+    /// than the message) after a bounded walk, never in a panic.
+    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
+        let mut entries = Vec::new();
+        while dec.get_bool()? {
+            entries.push(DirEntry {
+                fileid: dec.get_u32()?,
+                name: dec.get_string()?.into(),
+                cookie: dec.get_u32()?,
+            });
+        }
+        Ok(ReaddirOk {
+            entries,
+            eof: dec.get_bool()?,
+        })
+    }
+}
+
 /// The successful result of STATFS.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct StatfsOk {

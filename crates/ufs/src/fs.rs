@@ -389,7 +389,6 @@ impl Ufs {
         self.inodes.insert(ino, node);
         let d = self.inode_mut(dir)?;
         d.entries.insert(Arc::from(name), ino);
-        d.listing = None;
         d.mtime_nanos = now_nanos;
         d.inode_dirty = true;
         d.mtime_only_dirty = false;
@@ -432,33 +431,35 @@ impl Ufs {
         }
         let d = self.inode_mut(dir)?;
         d.entries.remove(name);
-        d.listing = None;
         d.mtime_nanos = now_nanos;
         d.inode_dirty = true;
         d.mtime_only_dirty = false;
         Ok(())
     }
 
-    /// List the names in a directory.
+    /// Walk a directory from a READDIR cookie, yielding `(name, ino)` in
+    /// name order.
     ///
-    /// The listing is memoised per directory and shared by reference count:
-    /// repeated READDIRs of an unchanged directory (the common SFS-mix case)
-    /// return the same `Arc` instead of cloning every name, and the proto
-    /// layer's READDIR reply carries it onward without another copy.  Any
-    /// entry change invalidates the cache.  Names are `Arc<str>` end to end,
-    /// so even a rebuild after an invalidation only bumps refcounts.
-    pub fn readdir(&mut self, dir: InodeNumber) -> Result<Arc<Vec<Arc<str>>>, FsError> {
+    /// The cookie of the entry at position *i* is *i* + 1, so cookie 0
+    /// starts at the first entry and an entry's cookie resumes just past it.
+    /// Positions are not stable across namespace changes: after a CREATE or
+    /// REMOVE in the directory, a resumed walk may skip or repeat a name, as
+    /// on real NFSv2 servers.  The walk is lazy and costs O(cookie + taken),
+    /// not O(directory).
+    pub fn readdir(
+        &mut self,
+        dir: InodeNumber,
+        cookie: u32,
+    ) -> Result<impl Iterator<Item = (&Arc<str>, InodeNumber)>, FsError> {
         self.counters.namespace_ops += 1;
-        let d = self.inode_mut(dir)?;
+        let d = self.inode(dir)?;
         if d.kind != FileKind::Directory {
             return Err(FsError::NotADirectory);
         }
-        if let Some(listing) = &d.listing {
-            return Ok(Arc::clone(listing));
-        }
-        let listing = Arc::new(d.entries.keys().cloned().collect::<Vec<Arc<str>>>());
-        d.listing = Some(Arc::clone(&listing));
-        Ok(listing)
+        Ok(d.entries
+            .iter()
+            .skip(cookie as usize)
+            .map(|(name, &ino)| (name, ino)))
     }
 
     /// Attributes of an inode.
@@ -1411,33 +1412,37 @@ mod tests {
         ));
         assert!(matches!(u.read(d, 0, 10), Err(FsError::IsADirectory)));
         u.create(d, "inner", 0o644, 1).unwrap();
-        assert_eq!(*u.readdir(d).unwrap(), vec![Arc::<str>::from("inner")]);
+        let names: Vec<_> = u.readdir(d, 0).unwrap().map(|(n, _)| n.clone()).collect();
+        assert_eq!(names, [Arc::<str>::from("inner")]);
         assert_eq!(u.remove(root, "dir", 2), Err(FsError::NotEmpty));
         u.remove(d, "inner", 3).unwrap();
         u.remove(root, "dir", 4).unwrap();
     }
 
     #[test]
-    fn readdir_shares_the_listing_until_the_directory_changes() {
+    fn readdir_resumes_from_a_cookie_in_name_order() {
         let mut u = fs();
         let root = u.root();
-        u.create(root, "a", 0o644, 0).unwrap();
-        let first = u.readdir(root).unwrap();
-        let second = u.readdir(root).unwrap();
-        assert!(
-            Arc::ptr_eq(&first, &second),
-            "unchanged directory must share one listing"
-        );
-        u.create(root, "b", 0o644, 1).unwrap();
-        let third = u.readdir(root).unwrap();
-        assert!(!Arc::ptr_eq(&second, &third), "create must invalidate");
-        assert_eq!(*third, vec![Arc::<str>::from("a"), Arc::<str>::from("b")]);
-        // The old Arc still holds the snapshot the earlier reply carried.
-        assert_eq!(*second, vec![Arc::<str>::from("a")]);
-        u.remove(root, "a", 2).unwrap();
-        let fourth = u.readdir(root).unwrap();
-        assert!(!Arc::ptr_eq(&third, &fourth), "remove must invalidate");
-        assert_eq!(*fourth, vec![Arc::<str>::from("b")]);
+        for (i, name) in ["c", "a", "b"].into_iter().enumerate() {
+            u.create(root, name, 0o644, i as u64).unwrap();
+        }
+        let walk = |u: &mut Ufs, cookie| -> Vec<String> {
+            u.readdir(root, cookie)
+                .unwrap()
+                .map(|(name, _)| name.to_string())
+                .collect()
+        };
+        assert_eq!(walk(&mut u, 0), ["a", "b", "c"]);
+        // The cookie of entry i is i + 1: cookie 2 resumes after "b".
+        assert_eq!(walk(&mut u, 2), ["c"]);
+        assert!(walk(&mut u, 3).is_empty());
+        assert!(walk(&mut u, u32::MAX).is_empty());
+        let (_, ino) = u.readdir(root, 1).unwrap().next().unwrap();
+        assert_eq!(u.lookup(root, "b"), Ok(ino));
+        // Positions shift under a concurrent REMOVE: the resumed walk skips
+        // "c", as an NFSv2 client of a real server may see.
+        u.remove(root, "a", 3).unwrap();
+        assert!(walk(&mut u, 2).is_empty());
     }
 
     #[test]
@@ -1488,7 +1493,7 @@ mod tests {
         assert_eq!(u.sync_data(999, 0, 1), Err(FsError::StaleInode));
         assert_eq!(u.fsync(999, FsyncFlags::All), Err(FsError::StaleInode));
         assert_eq!(u.lookup(999, "x"), Err(FsError::StaleInode));
-        assert_eq!(u.readdir(999), Err(FsError::StaleInode));
+        assert_eq!(u.readdir(999, 0).err(), Some(FsError::StaleInode));
     }
 
     #[test]

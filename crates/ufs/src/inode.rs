@@ -322,13 +322,9 @@ pub struct Inode {
     /// address), stored densely by `lbn - NDADDR`.
     pub indirect_map: IndirectMap,
     /// Directory entries (name -> inode), present only for directories.
-    /// Names are refcounted so rebuilding the memoised listing clones
-    /// pointers, not string bytes.
+    /// Names are refcounted so a READDIR page shares them instead of
+    /// copying string bytes.
     pub entries: BTreeMap<Arc<str>, InodeNumber>,
-    /// Memoised READDIR listing, shared with every reply that carries it and
-    /// invalidated whenever `entries` changes.  `None` until the first
-    /// readdir after a change.
-    pub listing: Option<Arc<Vec<Arc<str>>>>,
     /// Cached data blocks keyed by logical block index.
     pub blocks: BlockMap,
     /// `true` if the on-disk inode no longer matches this in-memory copy
@@ -366,7 +362,6 @@ impl Inode {
             indirect: None,
             indirect_map: IndirectMap::new(),
             entries: BTreeMap::new(),
-            listing: None,
             blocks: BlockMap::new(),
             inode_dirty: true,
             mtime_only_dirty: false,

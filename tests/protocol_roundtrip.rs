@@ -4,9 +4,9 @@
 //! correctly with retransmitted wire messages.
 
 use wg_nfsproto::{
-    CreateArgs, DirOpArgs, Fattr, FileHandle, GetattrArgs, NfsCall, NfsCallBody, NfsReply,
-    NfsReplyBody, NfsStatus, ReadArgs, ReadOk, Sattr, SetattrArgs, StatusReply, WireMessage,
-    WriteArgs, Xid, NFS_MAXDATA,
+    CreateArgs, DirEntry, DirOpArgs, Fattr, FileHandle, GetattrArgs, NfsCall, NfsCallBody,
+    NfsReply, NfsReplyBody, NfsStatus, ReadArgs, ReadOk, ReaddirOk, Sattr, SetattrArgs,
+    StatusReply, WireMessage, WriteArgs, Xid, NFS_MAXDATA,
 };
 
 fn fh(ino: u64) -> FileHandle {
@@ -173,5 +173,35 @@ fn write_calls_roundtrip() {
         );
         let back = NfsCall::from_wire(&call.to_wire()).unwrap();
         assert_eq!(back, call);
+    }
+}
+
+/// A READDIR page survives the wire with every fileid, name, cookie and the
+/// eof flag intact, its arithmetic size equals its encoding, and a flipped
+/// byte inside the entry list never panics the decoder.
+#[test]
+fn readdir_pages_roundtrip() {
+    let mut rng = wg_simcore::SimRng::seed_from(0xD1_2E47);
+    for _ in 0..64 {
+        let first = rng.next_below(1000) as u32;
+        let n = rng.next_below(40) as u32;
+        let entries = (0..n)
+            .map(|i| DirEntry {
+                fileid: rng.next_u64() as u32,
+                name: "n".repeat(1 + rng.next_below(30) as usize).into(),
+                cookie: first + i + 1,
+            })
+            .collect();
+        let eof = rng.next_below(2) == 1;
+        let reply = NfsReply::new(
+            Xid(first),
+            NfsReplyBody::Readdir(StatusReply::Ok(ReaddirOk { entries, eof }.into())),
+        );
+        let mut wire = reply.to_wire();
+        assert_eq!(reply.wire_size(), wire.len());
+        assert_eq!(NfsReply::from_wire(&wire).unwrap(), reply);
+        let idx = rng.next_below(wire.len() as u64) as usize;
+        wire.bytes[idx] = rng.next_below(256) as u8;
+        let _ = NfsReply::from_wire(&wire);
     }
 }
