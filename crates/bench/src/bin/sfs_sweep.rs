@@ -16,18 +16,6 @@
 //!   pool is ≥ 2× faster in wall-clock than the serial runner, with
 //!   bit-identical output points.
 //!
-//! The sweep also measures the **partitioned simulation core** itself: a
-//! big-topology cell (256 clients in the full run) executed once on the
-//! serial event loop and again on 2/4/8 cooperating event loops
-//! (`SfsConfig::sim_threads`), every partitioned run asserted bit-identical
-//! to the serial one and the wall clock recorded per thread count.  The
-//! ≥ 2× speedup assert only arms in the full run on hosts that actually
-//! offer ≥ 4 CPUs; a smoke cell (or a smaller host) records the measured
-//! ratio as skipped instead of silently passing — or flakily failing on a
-//! noisy shared runner.  `--sim-threads N` additionally runs every curve
-//! point on N event loops (the points stay bit-identical by construction,
-//! which the parity suites pin).
-//!
 //! The sweep also records the **stability ablation** — the three ways the
 //! write path can promise durability, measured over the SFS mix and the file
 //! copy: `sync` (the paper's synchronous FILE_SYNC writes), `nvram`
@@ -47,11 +35,14 @@
 //! ```text
 //! cargo run --release -p wg-bench --bin sfs_sweep                   # full sweep
 //! cargo run --release -p wg-bench --bin sfs_sweep -- --smoke --clients 4 --shards 4 --spindles 6 --overlap
-//! cargo run --release -p wg-bench --bin sfs_sweep -- --smoke --sim-threads 2 --clients 8 --shards 4
 //! cargo run --release -p wg-bench --bin sfs_sweep -- --smoke --stability all --unified-cache
 //! cargo run --release -p wg-bench --bin sfs_sweep -- --clients 8 --lans --threads 8
 //! cargo run --release -p wg-bench --bin sfs_sweep -- --out other.json
+//! cargo run --release -p wg-bench --bin sfs_sweep -- --help
 //! ```
+//!
+//! `--help` prints the usage and exits 0; an unknown flag, a missing value
+//! or a non-numeric value prints the usage and exits 2.
 
 use std::time::Instant;
 
@@ -124,7 +115,6 @@ impl Curve {
             ("serial_wall_ms", json::number(self.serial_wall_ms)),
             ("parallel_wall_ms", json::number(self.parallel_wall_ms)),
             ("threads", self.threads.to_string()),
-            ("sim_threads", self.config.sim_threads.to_string()),
             ("host_parallelism", host_parallelism().to_string()),
             ("parallel_speedup", json::number(self.parallel_speedup())),
             ("points", json::array(&points)),
@@ -193,114 +183,6 @@ fn run_curve(label: &str, config: SfsConfig, loads: &[f64], threads: usize) -> C
         parallel_wall_ms,
         threads,
     }
-}
-
-/// The big-topology partitioned-core cell: one scaled configuration run on
-/// the serial event loop and then on each of `thread_counts` cooperating
-/// event loops, every partitioned run asserted bit-identical to the serial
-/// one, with the wall clock recorded per thread count.
-///
-/// The ≥ 2× speedup assert is only armed when `assert_speedup` is set (the
-/// full run) *and* the host offers ≥ 4 CPUs; otherwise the cell records the
-/// assert as skipped, with the measured ratio — never as passed.  A smoke
-/// cell is too small to measure wall clock reliably on a shared runner, so
-/// it always records instead of asserting.
-fn run_parallel_core_cell(
-    clients: usize,
-    secs: u64,
-    load: f64,
-    thread_counts: &[usize],
-    assert_speedup: bool,
-) -> String {
-    let mut config = SfsConfig::scaled(load, WritePolicy::Gathering, clients);
-    config.duration = wg_simcore::Duration::from_secs(secs);
-
-    let serial_start = Instant::now();
-    let serial = SfsSweep::new(config.clone())
-        .run_stats(&[load])
-        .pop()
-        .expect("one point");
-    let serial_wall_ms = serial_start.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(serial.clamped_past, 0, "serial big-topology run clamped");
-    println!(
-        "parallel_core: {clients} clients, {secs}s @ {load:.0} ops/s — serial \
-         {serial_wall_ms:.1} ms, achieved {:.1} ops/s",
-        serial.point.achieved_ops_per_sec
-    );
-
-    let mut runs: Vec<String> = Vec::new();
-    let mut best_speedup = 0.0f64;
-    for &n in thread_counts {
-        let start = Instant::now();
-        let par = SfsSweep::new(config.clone().with_sim_threads(n))
-            .run_stats(&[load])
-            .pop()
-            .expect("one point");
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        // Bit-identity of the partitioned run: the non-negotiable invariant.
-        assert!(
-            par.point.achieved_ops_per_sec == serial.point.achieved_ops_per_sec
-                && par.point.avg_latency_ms == serial.point.avg_latency_ms
-                && par.point.server_cpu_percent == serial.point.server_cpu_percent,
-            "partitioned run on {n} event loops diverged from serial"
-        );
-        assert_eq!(par.per_client_achieved_ops, serial.per_client_achieved_ops);
-        assert_eq!(par.issued, serial.issued);
-        assert_eq!(par.completed, serial.completed);
-        assert_eq!(par.retransmissions, serial.retransmissions);
-        assert_eq!(par.gave_up, serial.gave_up);
-        assert_eq!(par.name_mints, serial.name_mints);
-        assert_eq!(par.evicted_in_progress, 0);
-        assert_eq!(par.materializations, 0);
-        assert_eq!(par.clamped_past, 0, "partitioned run clamped an event");
-        let speedup = serial_wall_ms / wall_ms.max(1e-9);
-        best_speedup = best_speedup.max(speedup);
-        println!(
-            "parallel_core: sim_threads {n} — {wall_ms:.1} ms ({speedup:.2}x), \
-             bit-identical to serial"
-        );
-        runs.push(json::object(&[
-            ("sim_threads", n.to_string()),
-            ("wall_ms", json::number(wall_ms)),
-            ("speedup_vs_serial", json::number(speedup)),
-        ]));
-    }
-
-    let host = host_parallelism();
-    let speedup_assert = if host < 4 {
-        println!(
-            "parallel_core: host offers {host} CPU(s); recording the wall \
-             clocks without asserting the >=2x speedup"
-        );
-        format!("skipped: host offers {host} CPU(s)")
-    } else if !assert_speedup {
-        println!(
-            "parallel_core: smoke cell; recording {best_speedup:.2}x without \
-             asserting the >=2x speedup"
-        );
-        format!("skipped: smoke cell ({best_speedup:.2}x)")
-    } else {
-        assert!(
-            best_speedup >= 2.0,
-            "partitioned big-topology speedup {best_speedup:.2}x < 2x on a \
-             {host}-CPU host"
-        );
-        "passed".to_string()
-    };
-    json::object(&[
-        ("clients", clients.to_string()),
-        ("duration_secs", secs.to_string()),
-        ("offered_ops_per_sec", json::number(load)),
-        (
-            "achieved_ops_per_sec",
-            json::number(serial.point.achieved_ops_per_sec),
-        ),
-        ("host_parallelism", host.to_string()),
-        ("serial_wall_ms", json::number(serial_wall_ms)),
-        ("runs", json::array(&runs)),
-        ("best_speedup", json::number(best_speedup)),
-        ("speedup_assert", json::string(&speedup_assert)),
-    ])
 }
 
 /// One stability-ablation cell over the SFS mix: the workload run to
@@ -734,141 +616,154 @@ fn run_stability_ablation(
     ])
 }
 
-fn parse_list(s: &str) -> Vec<f64> {
-    s.split(',')
-        .map(|v| v.trim().parse().expect("comma-separated numbers"))
-        .collect()
+const USAGE: &str = "\
+usage: sfs_sweep [--smoke] [--out PATH] [--clients N] [--shards N] [--cores N]
+                 [--spindles N] [--inode-groups N] [--threads N] [--secs N]
+                 [--loads A,B,C] [--overlap | --no-overlap] [--lans | --no-lans]
+                 [--read-caching | --no-read-caching] [--stability MODE]
+                 [--unified-cache] [--cache-pages N] [--dirty-ratio X]
+       sfs_sweep --help
+
+  --smoke             short sweep (3 s, two loads) without the headline asserts
+  --out PATH          report to merge into (default BENCH_writepath.json)
+  --clients N         generator streams of the scaled curve (default 4)
+  --shards N          server request-path shards of the scaled curve
+  --cores N           server CPU cores of the scaled curve
+  --spindles N        stripe-set disks of the scaled curve
+  --inode-groups N    inode groups of the scaled curve's filesystem
+  --threads N         worker threads running independent load points (default 4)
+  --secs N            simulated seconds per point (default 20, smoke 3)
+  --loads A,B,C       offered loads in ops/s
+  --overlap, --lans, --read-caching
+                      switch scaled-stack pieces on (the default) or off (--no-*)
+  --stability MODE    durability modes of the ablation: stable, unstable or all
+  --unified-cache     also bound the sync cell's page cache
+  --cache-pages N     unified cache size of the ablation cells (default 4096)
+  --dirty-ratio X     dirty-page throttle fraction (default 0.5)";
+
+/// Parsed command line.  Scaled-stack defaults come from the one canonical
+/// definition (`SfsConfig::scaled`, also what tests/sfs_scale.rs measures)
+/// so the recorded "current" curve cannot drift from it.
+struct Options {
+    out_path: String,
+    smoke: bool,
+    clients: usize,
+    shards: usize,
+    cores: usize,
+    spindles: usize,
+    overlap: bool,
+    lans: bool,
+    inode_groups: usize,
+    read_caching: bool,
+    threads: usize,
+    secs: Option<u64>,
+    loads: Option<Vec<f64>>,
+    stability: String,
+    unified_cache: bool,
+    cache_pages: u64,
+    dirty_ratio: f64,
 }
 
-fn main() {
-    let mut out_path = "BENCH_writepath.json".to_string();
-    // Flag defaults come from the one canonical definition of the scaled
-    // stack (`SfsConfig::scaled`, also what tests/sfs_scale.rs measures) so
-    // the recorded "current" curve cannot drift from it.
-    let scaled_defaults = SfsConfig::scaled(0.0, WritePolicy::Gathering, 4);
-    let mut clients = scaled_defaults.clients;
-    let mut shards = scaled_defaults.shards;
-    let mut cores = scaled_defaults.cores;
-    let mut spindles = scaled_defaults.spindles;
-    let mut overlap = scaled_defaults.io_overlap;
-    let mut lans = scaled_defaults.per_client_lans;
-    let mut inode_groups = scaled_defaults.inode_groups;
-    let mut read_caching = scaled_defaults.read_caching;
-    let mut threads = 4usize;
-    let mut sim_threads = scaled_defaults.sim_threads;
-    let mut secs: Option<u64> = None;
-    let mut loads: Option<Vec<f64>> = None;
-    let mut smoke = false;
-    let mut stability = "all".to_string();
-    let mut unified_cache = false;
-    let mut cache_pages = 4096u64;
-    let mut dirty_ratio = 0.5f64;
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
+/// Parse the arguments; `Ok(None)` means `--help` was asked for.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Option<Options>, String> {
+    let scaled = SfsConfig::scaled(0.0, WritePolicy::Gathering, 4);
+    let mut opts = Options {
+        out_path: "BENCH_writepath.json".to_string(),
+        smoke: false,
+        clients: scaled.clients,
+        shards: scaled.shards,
+        cores: scaled.cores,
+        spindles: scaled.spindles,
+        overlap: scaled.io_overlap,
+        lans: scaled.per_client_lans,
+        inode_groups: scaled.inode_groups,
+        read_caching: scaled.read_caching,
+        threads: 4,
+        secs: None,
+        loads: None,
+        stability: "all".to_string(),
+        unified_cache: false,
+        cache_pages: 4096,
+        dirty_ratio: 0.5,
+    };
+    fn number<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, String> {
+        value
+            .and_then(|v| v.parse().ok())
+            .ok_or_else(|| format!("{flag} needs a number"))
+    }
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--out" => out_path = iter.next().expect("--out needs a path"),
-            "--smoke" => smoke = true,
-            "--clients" => {
-                clients = iter
-                    .next()
-                    .expect("--clients needs a count")
-                    .parse()
-                    .expect("--clients needs a number");
-            }
-            "--shards" => {
-                shards = iter
-                    .next()
-                    .expect("--shards needs a count")
-                    .parse()
-                    .expect("--shards needs a number");
-            }
-            "--cores" => {
-                cores = iter
-                    .next()
-                    .expect("--cores needs a count")
-                    .parse()
-                    .expect("--cores needs a number");
-            }
-            "--spindles" => {
-                spindles = iter
-                    .next()
-                    .expect("--spindles needs a count")
-                    .parse()
-                    .expect("--spindles needs a number");
-            }
-            "--inode-groups" => {
-                inode_groups = iter
-                    .next()
-                    .expect("--inode-groups needs a count")
-                    .parse()
-                    .expect("--inode-groups needs a number");
-            }
-            "--threads" => {
-                threads = iter
-                    .next()
-                    .expect("--threads needs a count")
-                    .parse()
-                    .expect("--threads needs a number");
-            }
-            "--sim-threads" => {
-                sim_threads = iter
-                    .next()
-                    .expect("--sim-threads needs a count")
-                    .parse()
-                    .expect("--sim-threads needs a number");
-            }
-            "--secs" => {
-                secs = Some(
-                    iter.next()
-                        .expect("--secs needs a count")
-                        .parse()
-                        .expect("--secs needs a number"),
-                );
-            }
+            "--help" => return Ok(None),
+            "--out" => opts.out_path = args.next().ok_or("--out needs a path")?,
+            "--smoke" => opts.smoke = true,
+            "--clients" => opts.clients = number("--clients", args.next())?,
+            "--shards" => opts.shards = number("--shards", args.next())?,
+            "--cores" => opts.cores = number("--cores", args.next())?,
+            "--spindles" => opts.spindles = number("--spindles", args.next())?,
+            "--inode-groups" => opts.inode_groups = number("--inode-groups", args.next())?,
+            "--threads" => opts.threads = number("--threads", args.next())?,
+            "--secs" => opts.secs = Some(number("--secs", args.next())?),
             "--loads" => {
-                loads = Some(parse_list(&iter.next().expect("--loads needs a list")));
+                let list = args.next().unwrap_or_default();
+                let loads: Result<Vec<f64>, _> =
+                    list.split(',').map(|v| v.trim().parse()).collect();
+                opts.loads =
+                    Some(loads.map_err(|_| "--loads needs comma-separated numbers".to_string())?);
             }
             // The scaled topology is the default; the bare flags exist so CI
             // invocations can spell the configuration out, and the --no-*
             // forms give ablations a way to switch pieces off.
-            "--overlap" => overlap = true,
-            "--no-overlap" => overlap = false,
-            "--lans" => lans = true,
-            "--no-lans" => lans = false,
-            "--read-caching" => read_caching = true,
-            "--no-read-caching" => read_caching = false,
-            "--stability" => {
-                stability = iter.next().expect("--stability needs stable|unstable|all");
-                assert!(
-                    matches!(stability.as_str(), "stable" | "unstable" | "all"),
-                    "--stability needs stable|unstable|all, got {stability}"
-                );
-            }
-            "--unified-cache" => unified_cache = true,
-            "--cache-pages" => {
-                cache_pages = iter
-                    .next()
-                    .expect("--cache-pages needs a count")
-                    .parse()
-                    .expect("--cache-pages needs a number");
-            }
-            "--dirty-ratio" => {
-                dirty_ratio = iter
-                    .next()
-                    .expect("--dirty-ratio needs a ratio")
-                    .parse()
-                    .expect("--dirty-ratio needs a number");
-            }
-            other => panic!(
-                "unknown argument {other}; use --smoke, --out PATH, --clients N, \
-                 --shards N, --cores N, --spindles N, --inode-groups N, \
-                 --threads N, --sim-threads N, --secs N, --loads A,B,C, \
-                 --overlap/--no-overlap, --lans/--no-lans, \
-                 --read-caching/--no-read-caching, --stability MODE, \
-                 --unified-cache, --cache-pages N, --dirty-ratio X"
-            ),
+            "--overlap" => opts.overlap = true,
+            "--no-overlap" => opts.overlap = false,
+            "--lans" => opts.lans = true,
+            "--no-lans" => opts.lans = false,
+            "--read-caching" => opts.read_caching = true,
+            "--no-read-caching" => opts.read_caching = false,
+            "--stability" => match args.next() {
+                Some(mode) if matches!(mode.as_str(), "stable" | "unstable" | "all") => {
+                    opts.stability = mode;
+                }
+                _ => return Err("--stability needs stable|unstable|all".to_string()),
+            },
+            "--unified-cache" => opts.unified_cache = true,
+            "--cache-pages" => opts.cache_pages = number("--cache-pages", args.next())?,
+            "--dirty-ratio" => opts.dirty_ratio = number("--dirty-ratio", args.next())?,
+            other => return Err(format!("unknown argument {other}")),
         }
     }
+    Ok(Some(opts))
+}
+
+fn main() {
+    let Options {
+        out_path,
+        smoke,
+        clients,
+        shards,
+        cores,
+        spindles,
+        overlap,
+        lans,
+        inode_groups,
+        read_caching,
+        threads,
+        secs,
+        loads,
+        stability,
+        unified_cache,
+        cache_pages,
+        dirty_ratio,
+    } = match parse_args(std::env::args().skip(1)) {
+        Ok(Some(opts)) => opts,
+        Ok(None) => {
+            println!("{USAGE}");
+            return;
+        }
+        Err(msg) => {
+            eprintln!("sfs_sweep: {msg}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
 
     // Smoke shortens the sweep, but an explicit --secs/--loads always wins
     // regardless of where it sits on the command line.
@@ -881,8 +776,7 @@ fn main() {
         }
     });
     let duration = wg_simcore::Duration::from_secs(secs);
-    let mut baseline_config =
-        SfsConfig::figure2(0.0, WritePolicy::Gathering).with_sim_threads(sim_threads);
+    let mut baseline_config = SfsConfig::figure2(0.0, WritePolicy::Gathering);
     baseline_config.duration = duration;
     let mut current_config = SfsConfig::scaled(0.0, WritePolicy::Gathering, clients)
         .with_shards(shards)
@@ -891,8 +785,7 @@ fn main() {
         .with_io_overlap(overlap)
         .with_per_client_lans(lans)
         .with_inode_groups(inode_groups)
-        .with_read_caching(read_caching)
-        .with_sim_threads(sim_threads);
+        .with_read_caching(read_caching);
     current_config.duration = duration;
 
     let baseline = run_curve("baseline", baseline_config, &loads, threads);
@@ -942,18 +835,9 @@ fn main() {
         }
     }
 
-    // The partitioned-core cell: big topology in the full run, scaled down
-    // in smoke so CI still exercises the serial-vs-partitioned race.
-    let parallel_core = if smoke {
-        run_parallel_core_cell(32, 2, 600.0, &[2, 4], false)
-    } else {
-        run_parallel_core_cell(256, 5, 2000.0, &[2, 4, 8], true)
-    };
-
     let sfs_scale = json::object(&[
         ("baseline", baseline.to_json()),
         ("current", current.to_json()),
-        ("parallel_core", parallel_core),
         (
             "knee_shift",
             json::object(&[

@@ -30,7 +30,7 @@
 
 use wg_bench::report::{stamp_cell, upsert_object};
 use wg_server::WritePolicy;
-use wg_simcore::{Duration, FaultPlan};
+use wg_simcore::{Duration, FaultPlan, SimTime};
 use wg_workload::results::json;
 use wg_workload::sfs::SfsSystem;
 use wg_workload::SfsConfig;
@@ -253,9 +253,11 @@ fn run_abandoned_cell(label: &str, clients: usize, load: f64, secs: u64) -> Stri
         );
     }
     // Expired state is actually gone: whoever still holds a lock also still
-    // holds a live lease.
-    assert!(
-        system.server().held_locks() <= system.server().active_lease_clients(),
+    // holds a live lease at the end of the run.
+    let end = SimTime::ZERO + system.config().duration;
+    assert_eq!(
+        system.server().unleased_locks(end),
+        0,
         "{label}: a lock survived its owner's lease expiry"
     );
 
@@ -340,8 +342,10 @@ fn run_storm_cell(label: &str, clients: usize, load: f64, secs: u64) -> String {
         st.locks_granted > 0,
         "{label}: no registered stream ever acquired its lock"
     );
-    assert!(
-        on.server().held_locks() <= registered,
+    let end = SimTime::ZERO + on.config().duration;
+    assert_eq!(
+        on.server().unleased_locks(end),
+        0,
         "{label}: a lock is held by a client with no live lease"
     );
     assert_eq!(

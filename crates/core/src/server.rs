@@ -94,7 +94,7 @@ fn readdir_page<'a>(
 
 /// Seed of the write/commit boot-instance verifier.  The live verifier is
 /// this seed plus the crash count — a pure function of observable server
-/// history, so serial and partitioned drivers mint bit-identical verifiers.
+/// history, so every replay of a run mints bit-identical verifiers.
 const BOOT_VERIFIER_SEED: u64 = 0x1994_0606;
 
 /// Pages one background write-behind pass drains from the unified cache
@@ -1793,6 +1793,13 @@ impl NfsServer {
     /// Byte-range locks currently held across all clients.
     pub fn held_locks(&self) -> usize {
         self.state.held_locks()
+    }
+
+    /// Held locks whose owner has no live lease at `now` (see
+    /// [`ClientStateTable::unleased_locks`]); zero after
+    /// [`NfsServer::expire_leases`] at `now`.
+    pub fn unleased_locks(&self, now: SimTime) -> usize {
+        self.state.unleased_locks(now)
     }
 
     /// Whether the post-crash grace window is open at `now`.

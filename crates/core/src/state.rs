@@ -18,7 +18,7 @@
 //!   strict seqid monotonicity per owner; conflicting ranges are denied.
 //! * A lease that is not renewed within `lease_duration` expires *lazily but
 //!   deterministically*: every state operation first sweeps its shard, so
-//!   expiry happens at the same simulated instant in every schedule.
+//!   expiry happens at the same simulated instant in every replay.
 //! * A server crash moves all held locks into a *reclaimable image* and opens
 //!   a grace window: during grace only reclaims of imaged locks are admitted,
 //!   anything else gets a counted soft rejection ([`NfsStatus::Grace`]) and
@@ -31,9 +31,9 @@
 //! writer's lease had expired).  Both are asserted zero by every sweep and
 //! test.
 //!
-//! All containers are `BTreeMap`s: state operations run on the hub island of
-//! the partitioned core, and orderless iteration (e.g. a `HashMap` sweep)
-//! must never be a source of schedule-dependent behaviour.
+//! All containers are `BTreeMap`s: runs must replay bit for bit, and
+//! orderless iteration (e.g. a `HashMap` sweep) must never be a source of
+//! run-to-run differences.
 
 use std::collections::BTreeMap;
 
@@ -201,6 +201,19 @@ impl ClientStateTable {
         self.shards
             .iter()
             .flat_map(|s| s.clients.values())
+            .map(|c| c.locks.len())
+            .sum()
+    }
+
+    /// Held locks whose owner no longer has a live lease at `now` (expired
+    /// but not yet swept).  Zero after a [`ClientStateTable::sweep`] at
+    /// `now`: no lock outlives its owner's lease, however many ranges each
+    /// owner holds.
+    pub fn unleased_locks(&self, now: SimTime) -> usize {
+        self.shards
+            .iter()
+            .flat_map(|s| s.clients.values())
+            .filter(|c| c.expires <= now)
             .map(|c| c.locks.len())
             .sum()
     }
@@ -523,6 +536,27 @@ mod tests {
         assert_eq!(s.stats().state_orphaned, 1);
         assert_eq!(s.active_clients(), 0);
         assert_eq!(s.held_locks(), 0);
+    }
+
+    #[test]
+    fn a_leased_client_may_hold_two_ranges_and_none_outlives_its_lease() {
+        let mut s = table();
+        s.renew(1, 7, t(0));
+        assert!(s.lock(&lock_args(1, 10, 1, false), t(1)).is_ok());
+        assert!(s.lock(&lock_args(1, 11, 2, false), t(2)).is_ok());
+        // One live lease, two held ranges: a count proxy (`held_locks <=
+        // active_clients`) would flag this legitimate state...
+        assert_eq!(s.active_clients(), 1);
+        assert_eq!(s.held_locks(), 2);
+        assert!(s.held_locks() > s.active_clients());
+        // ...while the per-owner check sees both locks covered by a lease.
+        assert_eq!(s.unleased_locks(t(50)), 0);
+        // Once the lease lapses both locks are unleased until swept.
+        assert_eq!(s.unleased_locks(t(100)), 2);
+        s.sweep(t(100));
+        assert_eq!(s.unleased_locks(t(100)), 0);
+        assert_eq!(s.held_locks(), 0);
+        assert_eq!(s.stats().state_orphaned, 2);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! An adaptive calendar-queue pending-event set.
 //!
-//! Both simulator cores — the serial [`crate::EventQueue`] and the
-//! partitioned [`crate::parallel::KeyedQueue`] — used to sit on a
-//! `BinaryHeap`.  At millions of events per second the heap itself becomes
-//! the hot path: every push and pop sifts ~128-byte entries across
-//! `O(log n)` levels, and the sift traffic (not the comparisons) dominates.
+//! The simulator's [`crate::EventQueue`] used to sit on a `BinaryHeap`.  At
+//! millions of events per second the heap itself becomes the hot path:
+//! every push and pop sifts ~128-byte entries across `O(log n)` levels, and
+//! the sift traffic (not the comparisons) dominates.
 //! A calendar queue (Brown, CACM 1988) replaces the heap with a
 //! power-of-two array of *buckets* indexed by event time, giving amortised
 //! O(1) schedule and pop: an event moves exactly once on the way in and
@@ -34,14 +33,12 @@
 //!
 //! # Determinism
 //!
-//! Pop order is the whole contract: the golden tables and every
-//! partitioned parity suite pin it bit-for-bit.  The queue therefore
-//! never orders by bucket position alone — buckets are kept sorted by the
-//! **full key** (`(time, seq)` for the serial queue, the five-field
-//! lineage key for the partitioned one), and two events can only collide
-//! into the same slot when their times are close, so "earliest virtual
-//! slot, then smallest key within the bucket" reproduces the global key
-//! order exactly.  Because the scan always returns the true global
+//! Pop order is the whole contract: the golden tables and every replayed
+//! run pin it bit-for-bit.  The queue therefore never orders by bucket
+//! position alone — buckets are kept sorted by the **full key**
+//! `(time, seq)`, and two events can only collide into the same slot when
+//! their times are close, so "earliest virtual slot, then smallest key
+//! within the bucket" reproduces the global key order exactly.  Because the scan always returns the true global
 //! minimum, bucket count and width are *pure performance knobs*: a resize
 //! can never change pop order, which is what makes the adaptive part safe.
 //!
@@ -58,16 +55,10 @@
 use std::cell::Cell;
 use std::collections::VecDeque;
 
-/// A totally ordered scheduling key that exposes its firing time.
-///
-/// The ordering must be *time-major*: `a < b` whenever
-/// `a.time_ns() < b.time_ns()`.  Ties at the same instant may be broken by
-/// any further fields (insertion sequence, lineage) — the calendar only
-/// relies on "smaller key never fires later".
-pub trait CalKey: Copy + Ord {
-    /// The absolute firing time, in nanoseconds.
-    fn time_ns(&self) -> u64;
-}
+/// A scheduling key: `(firing time in nanoseconds, insertion sequence)`.
+/// Tuple order is time-major, so a smaller key never fires later, and
+/// same-instant events pop in sequence order.
+type Key = (u64, u64);
 
 /// Scheduler-health counters of one [`CalendarQueue`].
 ///
@@ -90,8 +81,8 @@ pub struct CalStats {
 }
 
 impl CalStats {
-    /// Fold a partition queue's counters into an accumulated view: counts
-    /// add, high-water marks take the maximum.
+    /// Fold another queue's counters into an accumulated view: counts add,
+    /// high-water marks take the maximum.
     pub fn absorb(&mut self, other: &CalStats) {
         self.buckets = self.buckets.max(other.buckets);
         self.resizes += other.resizes;
@@ -115,15 +106,15 @@ const MAX_SHIFT: u32 = 40;
 /// Pops between width recalibrations when occupancy stays in band.
 const RECAL_POPS: u64 = 256;
 
-/// An adaptive calendar queue over keys `K` and payloads `E`.
+/// An adaptive calendar queue of payloads `E` keyed by
+/// `(time_ns, seq)`.
 ///
 /// See the [module docs](self) for the structure; the public surface is
 /// deliberately minimal — the simulator-facing API (clamping, sequence
-/// minting, `clamped_past` accounting) lives in the wrappers
-/// ([`crate::EventQueue`], [`crate::parallel::KeyedQueue`]).
-pub struct CalendarQueue<K, E> {
+/// minting, `clamped_past` accounting) lives in [`crate::EventQueue`].
+pub struct CalendarQueue<E> {
     /// `buckets[(t >> shift) & mask]`, each sorted ascending by key.
-    buckets: Vec<VecDeque<(K, E)>>,
+    buckets: Vec<VecDeque<(Key, E)>>,
     mask: usize,
     shift: u32,
     len: usize,
@@ -140,10 +131,10 @@ pub struct CalendarQueue<K, E> {
     cursor: Cell<Option<u32>>,
     /// Recycled bucket storage for resizes (geometry rebuilds move the
     /// old deques here instead of freeing them).
-    spare: Vec<VecDeque<(K, E)>>,
+    spare: Vec<VecDeque<(Key, E)>>,
     /// The previous bucket array's spine, kept so a rebuild reuses its
     /// capacity instead of allocating a fresh one.
-    spare_spine: Vec<VecDeque<(K, E)>>,
+    spare_spine: Vec<VecDeque<(Key, E)>>,
     /// Pop-gap sampling since the last resize, for width re-derivation.
     pops_since_resize: u64,
     first_pop_ns: u64,
@@ -153,13 +144,13 @@ pub struct CalendarQueue<K, E> {
     rotations: Cell<u64>,
 }
 
-impl<K: CalKey, E> Default for CalendarQueue<K, E> {
+impl<E> Default for CalendarQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: CalKey, E> CalendarQueue<K, E> {
+impl<E> CalendarQueue<E> {
     /// An empty queue with the default geometry (adapted after use).
     pub fn new() -> Self {
         let mut buckets = Vec::with_capacity(MIN_BUCKETS);
@@ -204,8 +195,8 @@ impl<K: CalKey, E> CalendarQueue<K, E> {
     }
 
     #[inline]
-    fn vslot(&self, k: &K) -> u64 {
-        k.time_ns() >> self.shift
+    fn vslot(&self, k: &Key) -> u64 {
+        k.0 >> self.shift
     }
 
     /// Insert into the right bucket, keeping it sorted ascending so the
@@ -216,7 +207,7 @@ impl<K: CalKey, E> CalendarQueue<K, E> {
     /// are unique (every caller mints a distinguishing sequence number),
     /// so the partition point is exact.
     #[inline]
-    fn place(&mut self, key: K, event: E) {
+    fn place(&mut self, key: Key, event: E) {
         let idx = (self.vslot(&key) as usize) & self.mask;
         let bucket = &mut self.buckets[idx];
         match bucket.back() {
@@ -235,7 +226,7 @@ impl<K: CalKey, E> CalendarQueue<K, E> {
 
     /// Schedule one event.  O(1) amortised; the caller guarantees `key` is
     /// unique (distinct sequence field).
-    pub fn schedule(&mut self, key: K, event: E) {
+    pub fn schedule(&mut self, key: Key, event: E) {
         let vs = self.vslot(&key);
         // Rewind the scan cursor if the new event lands below it — a peek
         // may have advanced the cursor past this slot while it was empty.
@@ -294,7 +285,7 @@ impl<K: CalKey, E> CalendarQueue<K, E> {
     /// Takes `&self`: scan progress and the located minimum persist in
     /// interior-mutable cells so the following [`CalendarQueue::pop`] (or
     /// the next peek) is O(1).
-    pub fn peek_key(&self) -> Option<K> {
+    pub fn peek_key(&self) -> Option<Key> {
         if self.len == 0 {
             return None;
         }
@@ -328,7 +319,7 @@ impl<K: CalKey, E> CalendarQueue<K, E> {
         // to the calendar span.  Fall back to a direct minimum search
         // over the occupied buckets.
         self.rotations.set(self.rotations.get() + 1);
-        let mut best: Option<(usize, K)> = None;
+        let mut best: Option<(usize, Key)> = None;
         for (wi, &word) in self.occupied.iter().enumerate() {
             let mut w = word;
             while w != 0 {
@@ -349,7 +340,7 @@ impl<K: CalKey, E> CalendarQueue<K, E> {
     }
 
     /// Remove and return the earliest pending event.
-    pub fn pop(&mut self) -> Option<(K, E)> {
+    pub fn pop(&mut self) -> Option<(Key, E)> {
         let key = self.peek_key()?;
         let b = self.cursor.get().expect("peek located the minimum") as usize;
         let (k, e) = self.buckets[b].pop_front().expect("cursor bucket is empty");
@@ -367,7 +358,7 @@ impl<K: CalKey, E> CalendarQueue<K, E> {
         if !same_slot {
             self.cursor.set(None);
         }
-        let t = k.time_ns();
+        let t = k.0;
         if self.pops_since_resize == 0 {
             self.first_pop_ns = t;
         }
@@ -375,13 +366,6 @@ impl<K: CalKey, E> CalendarQueue<K, E> {
         self.pops_since_resize += 1;
         self.maybe_resize();
         Some((k, e))
-    }
-
-    /// Visit every pending event in no particular order (bound scans).
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &E)> {
-        self.buckets
-            .iter()
-            .flat_map(|b| b.iter().map(|(k, e)| (k, e)))
     }
 
     /// Resize when occupancy leaves the `[nb/4, 2*nb]` band, and
@@ -455,7 +439,7 @@ impl<K: CalKey, E> CalendarQueue<K, E> {
             // Drain front-to-back: keys come out ascending, so each lands
             // at the back of its new bucket through the O(1) fast path.
             for (k, e) in bucket.drain(..) {
-                min_vslot = min_vslot.min(k.time_ns() >> new_shift);
+                min_vslot = min_vslot.min(k.0 >> new_shift);
                 self.place(k, e);
             }
         }
@@ -476,8 +460,8 @@ impl<K: CalKey, E> CalendarQueue<K, E> {
 pub(crate) mod heap_oracle {
     //! The previous `BinaryHeap` pending-event set, kept as the reference
     //! oracle for the differential fuzz suites: it is exactly the
-    //! implementation `EventQueue`/`KeyedQueue` shipped with before the
-    //! calendar queue, made generic over the key.
+    //! implementation `EventQueue` shipped with before the calendar queue,
+    //! made generic over the key.
 
     use std::cmp::Ordering;
     use std::collections::BinaryHeap;
@@ -539,12 +523,6 @@ pub(crate) mod heap_oracle {
 pub(crate) mod tests {
     use super::heap_oracle::HeapQueue;
     use super::*;
-
-    impl CalKey for (u64, u64) {
-        fn time_ns(&self) -> u64 {
-            self.0
-        }
-    }
 
     /// A tiny deterministic RNG (xorshift64*) so the fuzz streams are
     /// reproducible without any external crate.

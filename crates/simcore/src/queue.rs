@@ -13,18 +13,8 @@
 //! (the differential fuzz suite in `calq` pins it against the retained
 //! heap oracle), so the swap is invisible to every golden table.
 
-use crate::calq::{CalKey, CalStats, CalendarQueue};
+use crate::calq::{CalStats, CalendarQueue};
 use crate::time::{Duration, SimTime};
-
-/// The serial scheduling key: firing time, then insertion order.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-struct SKey(SimTime, u64);
-
-impl CalKey for SKey {
-    fn time_ns(&self) -> u64 {
-        self.0.as_nanos()
-    }
-}
 
 /// A deterministic future-event list.
 ///
@@ -32,7 +22,8 @@ impl CalKey for SKey {
 /// same instant are popped in the order they were scheduled (FIFO), which makes
 /// runs reproducible regardless of the pending set's internal geometry.
 pub struct EventQueue<E> {
-    cal: CalendarQueue<SKey, E>,
+    /// Keyed by firing time, then insertion order.
+    cal: CalendarQueue<E>,
     next_seq: u64,
     now: SimTime,
     scheduled_total: u64,
@@ -88,7 +79,7 @@ impl<E> EventQueue<E> {
         self.next_seq = seq.wrapping_add(1);
         debug_assert!(self.next_seq > seq, "event sequence counter wrapped");
         self.scheduled_total += 1;
-        self.cal.schedule(SKey(at, seq), event);
+        self.cal.schedule((at.as_nanos(), seq), event);
     }
 
     /// Schedule `event` after a delay relative to the current time.
@@ -99,7 +90,8 @@ impl<E> EventQueue<E> {
     /// Remove and return the earliest event, advancing the clock to its
     /// timestamp.  Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (SKey(at, _), event) = self.cal.pop()?;
+        let ((at_ns, _), event) = self.cal.pop()?;
+        let at = SimTime::from_nanos(at_ns);
         debug_assert!(at >= self.now);
         self.now = at;
         Some((at, event))
@@ -107,7 +99,9 @@ impl<E> EventQueue<E> {
 
     /// Peek at the timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.cal.peek_key().map(|SKey(at, _)| at)
+        self.cal
+            .peek_key()
+            .map(|(at_ns, _)| SimTime::from_nanos(at_ns))
     }
 
     /// Number of events currently pending.

@@ -1035,7 +1035,7 @@ impl Ufs {
         if self.cache_armed() {
             // Rebuild the cache accounting from the surviving (all clean)
             // pages.  Recency is re-seeded in (ino, lbn) order — arbitrary
-            // but deterministic, so partitioned replays stay bit-identical.
+            // but deterministic, so replays of a run stay bit-identical.
             self.lru.clear();
             self.lru_index.clear();
             self.cache_dirty = 0;

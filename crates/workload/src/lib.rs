@@ -19,7 +19,9 @@
 //!   like the rows of the paper's tables.
 //!
 //! Everything is deterministic: the same configuration and seed produce the
-//! same numbers.
+//! same numbers.  Each run is one serial event loop; a host's cores are used
+//! by running independent sweep points in parallel
+//! ([`SfsSweep::run_parallel`]), which leaves every point bit-identical.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -9,8 +9,6 @@ use wg_simcore::{CalStats, Duration, EventQueue, FaultKind, FaultPlan, SimTime, 
 
 use crate::results::FileCopyResult;
 
-mod par;
-
 /// Which network the experiment runs over.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum NetworkKind {
@@ -66,9 +64,9 @@ pub struct ExperimentConfig {
     /// knobs, used by fault tests to force a give-up quickly.  `None` keeps
     /// [`wg_client::ClientConfig::default`].
     pub client_retry: Option<(Duration, u32)>,
-    /// Number of cooperating event loops the run executes on (`0` or `1`
-    /// keeps the serial loop).  Results are bit-identical either way; see
-    /// [`wg_simcore::parallel`].
+    /// Inert: nothing in the workspace reads or sets it, and every run uses
+    /// the one serial event loop.  Kept only because `perfbench`'s replica
+    /// guards still read it; drop it once they do not.
     pub sim_threads: usize,
     /// Pages of the server's bounded unified buffer cache (`0`, the default,
     /// keeps the paper's unbounded delayed-write pool — every table cell is
@@ -163,12 +161,6 @@ impl ExperimentConfig {
         self
     }
 
-    /// Run on `n` cooperating event loops (`0` or `1` keeps the serial loop).
-    pub fn with_sim_threads(mut self, n: usize) -> Self {
-        self.sim_threads = n;
-        self
-    }
-
     /// Arm the server's bounded unified buffer cache with `pages` pages
     /// (`0` disarms it and restores the paper's unbounded pool).
     pub fn with_unified_cache(mut self, pages: u64) -> Self {
@@ -209,15 +201,6 @@ pub struct FileCopySystem {
     completed_at: Option<SimTime>,
     started_at: SimTime,
     events_processed: u64,
-    /// Time of the last event a partitioned run processed; stands in for the
-    /// serial queue's clock when a faulted cell never completes.
-    par_now: SimTime,
-    /// Events scheduled / clamped by the partitioned executor's keyed queues
-    /// (the serial queue keeps its own counters).
-    par_scheduled_total: u64,
-    par_clamped_past: u64,
-    /// Scheduler-health counters banked from partitioned runs' queues.
-    par_sched: CalStats,
 }
 
 impl FileCopySystem {
@@ -285,10 +268,6 @@ impl FileCopySystem {
             completed_at: None,
             started_at: SimTime::ZERO,
             events_processed: 0,
-            par_now: SimTime::ZERO,
-            par_scheduled_total: 0,
-            par_clamped_past: 0,
-            par_sched: CalStats::default(),
             client,
             server,
             config,
@@ -300,25 +279,21 @@ impl FileCopySystem {
         self.events_processed
     }
 
-    /// Total events ever scheduled, across the serial queue and any
-    /// partitioned run's keyed queues.
+    /// Total events ever scheduled.
     pub fn scheduled_total(&self) -> u64 {
-        self.queue.scheduled_total() + self.par_scheduled_total
+        self.queue.scheduled_total()
     }
 
     /// Events scheduled into the simulated past (must stay zero; see
     /// [`EventQueue::clamped_past`]).
     pub fn clamped_past(&self) -> u64 {
-        self.queue.clamped_past() + self.par_clamped_past
+        self.queue.clamped_past()
     }
 
-    /// Scheduler-health counters of the pending-event set: the serial
-    /// queue's calendar geometry folded with any partitioned run's queues
-    /// (counts add, high-water marks take the maximum).
+    /// Scheduler-health counters of the pending-event set (the calendar
+    /// queue's geometry).
     pub fn sched_stats(&self) -> CalStats {
-        let mut stats = self.queue.sched_stats();
-        stats.absorb(&self.par_sched);
-        stats
+        self.queue.sched_stats()
     }
 
     /// Upper bound on events one copy may process before the run is declared
@@ -337,13 +312,6 @@ impl FileCopySystem {
     /// for every event, so the steady-state loop performs no per-event
     /// allocation.
     pub fn run(&mut self) -> FileCopyResult {
-        if self.config.sim_threads >= 2 {
-            return par::run_partitioned(self);
-        }
-        self.run_serial()
-    }
-
-    fn run_serial(&mut self) -> FileCopyResult {
         self.events_processed = 0;
         self.queue
             .schedule_at(SimTime::ZERO, Ev::Client(ClientInput::Start));
@@ -488,9 +456,7 @@ impl FileCopySystem {
             self.client.stats().bytes_acked,
             self.config.file_size
         );
-        let completed_at = self
-            .completed_at
-            .unwrap_or_else(|| self.queue.now().max(self.par_now));
+        let completed_at = self.completed_at.unwrap_or_else(|| self.queue.now());
         let elapsed = completed_at.since(self.started_at);
         let elapsed = if elapsed.is_zero() {
             Duration::from_nanos(1)
@@ -636,6 +602,86 @@ mod tests {
         let root = fs.root();
         let ino = fs.lookup(root, "copy-target").unwrap();
         assert_eq!(fs.getattr(ino).unwrap().size, SMALL);
+    }
+
+    #[test]
+    fn unstable_copy_crashed_mid_writeback_voids_and_recovers_its_cache() {
+        // A 512 KB WRITE(UNSTABLE) copy through a small bounded cache,
+        // crashed at 50 ms: the crash must catch uncommitted dirty pages
+        // (counted, never acknowledged as durable), the client must see the
+        // boot-verifier change, and the re-sent ranges must land the file.
+        let config = ExperimentConfig::new(NetworkKind::Fddi, 4, WritePolicy::Gathering)
+            .with_file_size(512 * 1024)
+            .with_unified_cache(1024)
+            .with_stability(StabilityMode::Unstable)
+            .with_fault_plan(FaultPlan::new().at(SimTime::from_millis(50), FaultKind::ServerCrash));
+        let mut system = FileCopySystem::new(config.clone());
+        let result = system.run();
+        let stats = system.server().stats();
+        assert!(
+            stats.lost_unstable_bytes > 0,
+            "the crash missed the writeback window"
+        );
+        assert_eq!(stats.lost_acked_bytes, 0);
+        assert!(
+            system.client().stats().verifier_mismatches > 0,
+            "the client never noticed the reboot"
+        );
+        assert!(result.completed);
+        assert_eq!(system.lost_acked_bytes_on_disk(), 0);
+        assert_eq!(system.clamped_past(), 0);
+        let mut replay = FileCopySystem::new(config);
+        assert_eq!(format!("{result:?}"), format!("{:?}", replay.run()));
+        assert_eq!(replay.events_processed(), system.events_processed());
+    }
+
+    #[test]
+    fn faulted_copy_replays_bit_for_bit_even_when_it_never_completes() {
+        // A crash, a battery failure, a loss burst and a disk degrade
+        // mid-copy against a client that gives up quickly: the faulted
+        // (possibly incomplete) cell, including the elapsed-time fallback to
+        // the queue clock, must replay identically.
+        let plan = FaultPlan::new()
+            .at(SimTime::from_millis(200), FaultKind::ServerCrash)
+            .at(
+                SimTime::from_millis(500),
+                FaultKind::BatteryFailure {
+                    repair_after: Duration::from_millis(300),
+                },
+            )
+            .at(
+                SimTime::from_millis(900),
+                FaultKind::LossBurst {
+                    duration: Duration::from_millis(400),
+                    probability: 0.7,
+                    segment: None,
+                },
+            )
+            .at(
+                SimTime::from_millis(1500),
+                FaultKind::DiskDegrade {
+                    duration: Duration::from_millis(200),
+                    stall: Duration::from_millis(3),
+                    retries: 2,
+                },
+            );
+        let config = ExperimentConfig::new(NetworkKind::Fddi, 4, WritePolicy::Gathering)
+            .with_file_size(512 * 1024)
+            .with_fault_plan(plan)
+            .with_client_retry(Duration::from_millis(150), 3);
+        let mut first = FileCopySystem::new(config.clone());
+        let a = first.run();
+        let mut second = FileCopySystem::new(config);
+        let b = second.run();
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_eq!(first.events_processed(), second.events_processed());
+        assert_eq!(first.clamped_past(), 0);
+        assert_eq!(first.server().stats().crashes, 1);
+        assert_eq!(first.server().stats().lost_acked_bytes, 0);
+        assert_eq!(
+            first.lost_acked_bytes_on_disk(),
+            second.lost_acked_bytes_on_disk()
+        );
     }
 
     #[test]

@@ -110,6 +110,7 @@ fn safe_policies_lose_no_acknowledged_write_across_a_crash() {
             0,
             "{label}: §6.9 hazard across reboot"
         );
+        assert_eq!(system.clamped_past(), 0, "{label}: an event ran late");
     }
 }
 
@@ -338,6 +339,7 @@ fn sfs_chaos_schedule_accounts_for_every_call() {
     assert!(system.retransmissions() > 0);
     assert_eq!(stats.lost_acked_bytes, 0);
     assert_eq!(system.server().dupcache_evicted_in_progress(), 0);
+    assert_eq!(system.clamped_past(), 0);
     // Nothing vanishes: every issued call either completed or was counted
     // as given up — never silently dropped.
     assert_eq!(issued, completed + system.gave_up());
@@ -353,6 +355,8 @@ fn sfs_chaos_schedule_accounts_for_every_call() {
     assert_eq!(format!("{point:?}"), format!("{again:?}"));
     assert_eq!(replay.counts(), (issued, completed));
     assert_eq!(replay.gave_up(), system.gave_up());
+    assert_eq!(replay.retransmissions(), system.retransmissions());
+    assert_eq!(replay.events_processed(), system.events_processed());
 
     // The Prestoserve figure: a battery failure mid-run, still no loss.
     let mut config =
@@ -373,128 +377,50 @@ fn sfs_chaos_schedule_accounts_for_every_call() {
 }
 
 // ---------------------------------------------------------------------------
-// The partitioned simulation core replays fault schedules bit for bit.
+// The NFSv3 write path under a crash schedule: SFS mix, bounded cache.
 // ---------------------------------------------------------------------------
 
 #[test]
-fn partitioned_loops_replay_the_chaos_schedule_bit_for_bit() {
-    // The seeded chaos schedule from above, re-run on 2 and 4 cooperating
-    // event loops: crashes, the loss burst, steady datagram loss and every
-    // retransmission must replay identically to the serial event loop.
-    let secs = 8u64;
-    let horizon = Duration::from_secs(secs);
-    let plan = FaultPlan::seeded_crashes(0xC4A5, Duration::from_secs(3), horizon).at(
-        SimTime::ZERO + Duration::from_secs(5),
-        FaultKind::LossBurst {
-            duration: Duration::from_millis(500),
-            probability: 0.5,
-            segment: None,
-        },
-    );
-    let make = |threads: usize| {
-        let mut config = SfsConfig::figure2(400.0, WritePolicy::Gathering)
-            .with_fault_plan(plan.clone())
-            .with_loss(0.02)
-            .with_sim_threads(threads);
-        config.duration = horizon;
-        config
-    };
-    let mut serial = SfsSystem::new(make(0));
-    let point = serial.run();
-    assert!(serial.server().stats().crashes >= 1);
-    for threads in [2, 4] {
-        let mut par = SfsSystem::new(make(threads));
-        let again = par.run();
-        assert_eq!(
-            format!("{point:?}"),
-            format!("{again:?}"),
-            "sim_threads={threads} diverged from the serial chaos run"
-        );
-        assert_eq!(par.counts(), serial.counts());
-        assert_eq!(par.events_processed(), serial.events_processed());
-        assert_eq!(par.retransmissions(), serial.retransmissions());
-        assert_eq!(par.gave_up(), serial.gave_up());
-        assert_eq!(par.clamped_past(), 0);
-        assert_eq!(
-            par.server().stats().crashes,
-            serial.server().stats().crashes
-        );
-        assert_eq!(par.server().stats().lost_acked_bytes, 0);
-    }
-}
-
-#[test]
-fn partitioned_copy_survives_the_crash_identically() {
-    // The mid-copy crash under the partitioned core: the reboot, the
-    // retransmission storm and the recovery oracle all replay exactly.
-    let mut serial =
-        FileCopySystem::new(copy_config(WritePolicy::Gathering).with_fault_plan(mid_copy_crash()));
-    let a = serial.run();
-    for threads in [2, 4] {
-        let mut par = FileCopySystem::new(
-            copy_config(WritePolicy::Gathering)
-                .with_fault_plan(mid_copy_crash())
-                .with_sim_threads(threads),
-        );
-        let b = par.run();
-        assert_eq!(
-            format!("{a:?}"),
-            format!("{b:?}"),
-            "sim_threads={threads} diverged from the serial crash-recovery run"
-        );
-        assert_eq!(par.events_processed(), serial.events_processed());
-        assert_eq!(par.clamped_past(), 0);
-        assert_eq!(par.lost_acked_bytes_on_disk(), 0);
-    }
-}
-
-#[test]
-fn partitioned_unstable_sfs_replays_the_crash_schedule_bit_for_bit() {
-    // The acceptance sweep for the unified-cache write path: the SFS mix
-    // with the bounded cache armed and WRITE(UNSTABLE)+COMMIT semantics,
-    // under a seeded crash schedule, on 2, 4 and 8 cooperating event loops.
-    // Background writeback, COMMIT flushes, the boot-verifier bump and the
-    // post-reboot retransmission storm must all replay bit for bit.
-    let secs = 8u64;
-    let horizon = Duration::from_secs(secs);
+fn unstable_sfs_survives_the_crash_schedule_and_replays_bit_for_bit() {
+    // The SFS mix with the bounded cache armed and WRITE(UNSTABLE)+COMMIT
+    // semantics, under a seeded crash schedule and steady loss.  Background
+    // writeback, COMMIT flushes, the boot-verifier bump and the post-reboot
+    // retransmission storm must lose nothing acknowledged and replay bit
+    // for bit.
+    let horizon = Duration::from_secs(8);
     let plan = FaultPlan::seeded_crashes(0xC4A5, Duration::from_secs(3), horizon);
-    let make = |threads: usize| {
+    let run = || {
         let mut config = SfsConfig::figure2(400.0, WritePolicy::Gathering)
             .with_fault_plan(plan.clone())
             .with_loss(0.02)
             .with_unified_cache(4096)
-            .with_stability(StabilityMode::Unstable)
-            .with_sim_threads(threads);
+            .with_stability(StabilityMode::Unstable);
         config.duration = horizon;
-        config
+        let mut system = SfsSystem::new(config);
+        let point = system.run();
+        (point, system)
     };
-    let mut serial = SfsSystem::new(make(0));
-    let point = serial.run();
-    let stats = serial.server().stats();
+    let (point, system) = run();
+    let stats = system.server().stats();
     assert!(stats.crashes >= 1, "the seeded schedule never crashed");
     assert!(stats.unstable_writes > 0, "no write ever went UNSTABLE");
     assert!(stats.commits > 0, "no COMMIT was ever processed");
     assert_eq!(stats.lost_acked_bytes, 0);
-    for threads in [2, 4, 8] {
-        let mut par = SfsSystem::new(make(threads));
-        let again = par.run();
-        assert_eq!(
-            format!("{point:?}"),
-            format!("{again:?}"),
-            "sim_threads={threads} diverged from the serial unstable-cache run"
-        );
-        assert_eq!(par.counts(), serial.counts());
-        assert_eq!(par.events_processed(), serial.events_processed());
-        assert_eq!(par.retransmissions(), serial.retransmissions());
-        assert_eq!(par.gave_up(), serial.gave_up());
-        assert_eq!(par.clamped_past(), 0);
-        let pstats = par.server().stats();
-        assert_eq!(pstats.crashes, stats.crashes);
-        assert_eq!(pstats.unstable_writes, stats.unstable_writes);
-        assert_eq!(pstats.commits, stats.commits);
-        assert_eq!(pstats.lost_unstable_bytes, stats.lost_unstable_bytes);
-        assert_eq!(pstats.lost_acked_bytes, 0);
-    }
+    assert_eq!(system.clamped_past(), 0);
+    let (issued, completed) = system.counts();
+    assert_eq!(issued, completed + system.gave_up());
+
+    let (again, replay) = run();
+    assert_eq!(format!("{point:?}"), format!("{again:?}"));
+    assert_eq!(replay.counts(), system.counts());
+    assert_eq!(replay.events_processed(), system.events_processed());
+    assert_eq!(replay.retransmissions(), system.retransmissions());
+    assert_eq!(replay.gave_up(), system.gave_up());
+    let rstats = replay.server().stats();
+    assert_eq!(rstats.crashes, stats.crashes);
+    assert_eq!(rstats.unstable_writes, stats.unstable_writes);
+    assert_eq!(rstats.commits, stats.commits);
+    assert_eq!(rstats.lost_unstable_bytes, stats.lost_unstable_bytes);
 }
 
 // ---------------------------------------------------------------------------
