@@ -13,6 +13,7 @@
 //!   allocations, pinned by a counting global allocator, not by eyeball.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -22,14 +23,32 @@ use wg_simcore::{Duration, SimTime};
 use wg_workload::sfs::SfsSystem;
 use wg_workload::{SfsConfig, SfsMix, SfsSweep};
 
-/// A pass-through allocator that counts every allocation the process makes.
+/// A pass-through allocator that counts the allocations made on threads
+/// that armed the probe ([`allocations_during`]).  Counting per thread
+/// keeps the probe's window free of the test harness's own bookkeeping —
+/// libtest spawns, joins and reports other tests' threads concurrently with
+/// whichever test is running — while still catching every allocation the
+/// generator makes, since generation never leaves the calling thread.
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Whether this thread's allocations are counted.  `const`-initialised
+    /// and drop-free, so reading it from inside the allocator never
+    /// allocates and stays valid during thread teardown.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_if_armed() {
+    if COUNTED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_if_armed();
         System.alloc(layout)
     }
 
@@ -38,7 +57,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_if_armed();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -46,14 +65,21 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+/// Run `work` and return how many allocations the calling thread made
+/// during it.
+fn allocations_during(work: impl FnOnce()) -> u64 {
+    COUNTED.with(|counted| counted.set(true));
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    work();
+    let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    COUNTED.with(|counted| counted.set(false));
+    delta
 }
 
-/// The allocation counter is process-global, so the probe below can only
-/// measure its own window if no sibling test is allocating concurrently —
+/// The payload materialisation counter is process-global, so a probe of it
+/// can only measure its own window if no sibling test runs concurrently —
 /// libtest runs this binary's tests on parallel threads.  Every test takes
-/// this lock, serialising the whole file (it runs in well under a second).
+/// this lock, serialising the whole file.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serialised() -> MutexGuard<'static, ()> {
@@ -95,14 +121,14 @@ fn steady_state_generation_performs_no_heap_allocation() {
         }
     }
     let mints_before = system.name_mints();
-    let before = allocations();
-    for client in 0..2 {
-        for _ in 0..10_000 {
-            let call = system.generate_one(now, client);
-            std::hint::black_box(&call);
+    let delta = allocations_during(|| {
+        for client in 0..2 {
+            for _ in 0..10_000 {
+                let call = system.generate_one(now, client);
+                std::hint::black_box(&call);
+            }
         }
-    }
-    let delta = allocations() - before;
+    });
     assert_eq!(
         delta, 0,
         "steady-state op generation allocated {delta} times over 20k ops"
@@ -195,26 +221,34 @@ fn scaled_stack_beats_the_single_client_baseline_at_heavy_load() {
     );
 }
 
-#[test]
-fn scaled_points_clamp_nothing_and_replay_bit_for_bit_from_busy_to_near_idle() {
-    let _serial = serialised();
-    // The scaled stack at a busy load and at a trickle: at 8 ops/s the
-    // per-client segments sit idle for most of the run and the last
-    // arrivals land against the duration boundary.  Both points must run
-    // to the horizon, schedule nothing into the past, and replay every
-    // recorded field — figure point, per-client breakdown, health
-    // counters — bit for bit.
+/// Run the scaled stack at one offered load twice: the point must run to
+/// the horizon, schedule nothing into the past, and replay every recorded
+/// field — figure point, per-client breakdown, health counters — bit for
+/// bit.
+fn assert_scaled_point_replays(load: f64) {
     let sweep = SfsSweep::new(quick_scaled(0.0, 4));
-    let loads = [900.0, 8.0];
-    let first = sweep.run_stats(&loads);
-    for point in &first {
-        assert_eq!(point.clamped_past, 0);
-        assert!(point.completed > 0, "{point:?}");
-    }
+    let first = sweep.run_stats(&[load]);
+    assert_eq!(first[0].clamped_past, 0);
+    assert!(first[0].completed > 0, "{first:?}");
     assert_eq!(
         format!("{first:?}"),
-        format!("{:?}", sweep.run_stats(&loads))
+        format!("{:?}", sweep.run_stats(&[load]))
     );
+}
+
+#[test]
+fn scaled_busy_point_clamps_nothing_and_replays_bit_for_bit() {
+    let _serial = serialised();
+    assert_scaled_point_replays(900.0);
+}
+
+#[test]
+fn near_idle_segments_reach_the_horizon_and_replay_bit_for_bit() {
+    let _serial = serialised();
+    // A trickle load over per-client LANs: at 8 ops/s the segments sit idle
+    // for most of the run and the last arrivals land against the duration
+    // boundary.
+    assert_scaled_point_replays(8.0);
 }
 
 #[test]
