@@ -30,6 +30,7 @@ pub mod multi;
 pub mod results;
 pub mod sfs;
 pub mod system;
+mod testbed;
 
 pub use multi::{MultiClientConfig, MultiClientSystem};
 pub use results::{FileCopyResult, MultiClientResult, SfsPoint, TableRow};

@@ -3,15 +3,13 @@
 //! The paper remarks (§6) that write gathering pays off even more with
 //! "several clients", because independent write streams give the server more
 //! company to gather per metadata flush — but its tables only measure one
-//! client.  [`MultiClientSystem`] runs N [`FileWriterClient`]s against one
-//! shared [`Medium`] and one [`NfsServer`], each client copying its own byte
-//! budget into its own files, and reports per-client plus aggregate
-//! [`FileCopyResult`]s and a fairness readout ([`MultiClientResult`]).
-//!
-//! The `client` field of [`ServerInput::Datagram`] — plumbed through the
-//! server and duplicate request cache since the beginning but always 0 in the
-//! single-client system — finally carries real client ids here, and replies
-//! are routed back by the id the server echoes in [`ServerAction::Reply`].
+//! client.  [`MultiClientSystem`] puts N [`FileWriterClient`]s on the
+//! testbed — one shared segment or one LAN per client, into one
+//! [`NfsServer`] — each client copying its own byte budget into its own
+//! files, and reports per-client plus aggregate [`FileCopyResult`]s and a
+//! fairness readout ([`MultiClientResult`]).  The same writer population,
+//! with one client and one file, is the paper's copy
+//! ([`crate::FileCopySystem`]).
 //!
 //! GB-scale budgets do not fit one UFS file (12 direct + 2048 indirect 8 KB
 //! blocks ≈ 16 MB), so each client writes a chain of segment files of at most
@@ -23,21 +21,24 @@
 //!
 //! Everything rides the zero-copy datapath: payloads are fill patterns salted
 //! per client (see [`wg_client::ClientConfig::fill_salt`]), so a million-op
-//! multi-client run allocates no payload bytes and [`verify_on_disk`]
-//! (`MultiClientSystem::verify_on_disk`) can attribute every landed block to
+//! multi-client run allocates no payload bytes and
+//! [`MultiClientSystem::verify_on_disk`] can attribute every landed block to
 //! the client that wrote it.
 
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 
-use wg_client::{ClientAction, ClientConfig, ClientInput, FileWriterClient};
-use wg_net::medium::{Direction, MediumParams};
-use wg_net::{Medium, TransmitOutcome};
-use wg_nfsproto::{FileHandle, StableHow};
-use wg_server::{NfsServer, ServerAction, ServerConfig, ServerInput, StabilityMode, WritePolicy};
-use wg_simcore::{CalStats, Duration, EventQueue, SimTime};
+use wg_client::{ClientAction, ClientConfig, ClientInput, ClientStats, FileWriterClient};
+use wg_nfsproto::{FileHandle, NfsReply};
+use wg_server::{NfsServer, StabilityMode, WritePolicy};
+use wg_simcore::{Duration, FaultPlan, SimTime};
 
 use crate::results::{FileCopyResult, MultiClientResult};
 use crate::system::NetworkKind;
+use crate::testbed::{
+    create_file, server_config, server_knob_builders, stable_how, testbed_accessors, ClientLans,
+    Population, Testbed,
+};
 
 /// Configuration of one multi-client scale-out run.
 #[derive(Clone, Debug)]
@@ -141,11 +142,7 @@ impl MultiClientConfig {
         self
     }
 
-    /// Use a stripe set of `n` disks.
-    pub fn with_spindles(mut self, n: usize) -> Self {
-        self.spindles = n;
-        self
-    }
+    server_knob_builders!();
 
     /// Set the nfsd pool size.
     pub fn with_nfsds(mut self, n: usize) -> Self {
@@ -153,45 +150,9 @@ impl MultiClientConfig {
         self
     }
 
-    /// Shard the server's request path `n` ways.
-    pub fn with_shards(mut self, n: usize) -> Self {
-        self.shards = n;
-        self
-    }
-
-    /// Give the server `n` CPU cores.
-    pub fn with_cores(mut self, n: usize) -> Self {
-        self.cores = n;
-        self
-    }
-
     /// Give every client its own network segment.
     pub fn with_per_client_lans(mut self, on: bool) -> Self {
         self.per_client_lans = on;
-        self
-    }
-
-    /// Enable pipelined storage-stack execution on the server.
-    pub fn with_io_overlap(mut self, on: bool) -> Self {
-        self.io_overlap = on;
-        self
-    }
-
-    /// Arm the server's bounded unified buffer cache with `pages` pages.
-    pub fn with_unified_cache(mut self, pages: u64) -> Self {
-        self.cache_pages = pages;
-        self
-    }
-
-    /// Set the dirty-page throttle fraction of the unified cache.
-    pub fn with_dirty_ratio(mut self, ratio: f64) -> Self {
-        self.dirty_ratio = ratio;
-        self
-    }
-
-    /// Select the write-stability regime of the run.
-    pub fn with_stability(mut self, mode: StabilityMode) -> Self {
-        self.stability = mode;
         self
     }
 
@@ -256,186 +217,178 @@ impl MultiClientConfig {
     }
 }
 
-/// The network fan-in of an N-client system: one segment shared by every
-/// client, or one private LAN per client, every segment terminating at the
-/// one server.  Shared by [`MultiClientSystem`] and the SFS scale-out system
-/// ([`crate::sfs::SfsSystem`]) so the two load harnesses model the same
-/// topology.
-pub(crate) struct ClientLans {
-    media: Vec<Medium>,
+/// Event budget of a writer run over `bytes` in aggregate: a 10 MB copy
+/// needs ~13 k events, and this allows ~400x that per 10 MB.
+pub(crate) fn event_budget(bytes: u64) -> u64 {
+    5_000_000 * (bytes / (1024 * 1024)).max(1)
 }
 
-impl ClientLans {
-    /// Build the fan-in: `clients` private segments when `per_client` is set,
-    /// one shared segment otherwise.
-    pub(crate) fn new(params: &MediumParams, clients: usize, per_client: bool) -> Self {
-        Self::with_loss(params, clients, per_client, 0.0, 0)
+/// One file-writing client: the live writer, the segment files it has not
+/// started yet and the stats of the ones it finished.
+pub(crate) struct ClientSlot {
+    /// The writer of the current segment.
+    pub(crate) writer: FileWriterClient,
+    /// Segments not yet started: front = next.
+    pending: VecDeque<(FileHandle, u64)>,
+    /// Stats of *finished* segments; the live writer's are folded in on its
+    /// `Completed` action (see [`ClientSlot::total`]).
+    finished: ClientStats,
+    /// When the client's last segment closed.
+    pub(crate) completed_at: Option<SimTime>,
+}
+
+impl ClientSlot {
+    /// One stat summed over every segment, the live writer's included.  An
+    /// incomplete client (stalled mid-segment) must still report what it
+    /// did transfer — that partial count is exactly what diagnosing a dead
+    /// multi-client cell needs.
+    pub(crate) fn total(&self, stat: impl Fn(&ClientStats) -> u64) -> u64 {
+        // A completed client's final segment was folded in on completion;
+        // the writer still holds it, so don't count it twice.
+        let live = if self.completed_at.is_some() {
+            0
+        } else {
+            stat(&self.writer.stats())
+        };
+        stat(&self.finished) + live
+    }
+}
+
+/// A writer-population event: one client's input.  The single-client copy
+/// speaks bare [`ClientInput`]s, which keeps its events 8 bytes smaller than
+/// the fan-in's `(client, input)` pairs.
+pub(crate) trait WriterEvent {
+    /// Address `input` to `client`.
+    fn new(client: usize, input: ClientInput) -> Self;
+    /// The addressed client and its input.
+    fn into_parts(self) -> (usize, ClientInput);
+}
+
+impl WriterEvent for ClientInput {
+    fn new(client: usize, input: ClientInput) -> Self {
+        debug_assert_eq!(client, 0, "a bare client input addresses client 0");
+        input
     }
 
-    /// Build the fan-in with every segment dropping datagrams at
-    /// `loss_probability`.  Each segment's loss stream is seeded from
-    /// `(seed, segment index)` alone — never from construction order or
-    /// wall-clock — so a sweep cell built on a worker thread draws exactly
-    /// the loss pattern the same cell draws in a serial sweep.
-    pub(crate) fn with_loss(
-        params: &MediumParams,
-        clients: usize,
-        per_client: bool,
-        loss_probability: f64,
-        seed: u64,
-    ) -> Self {
-        let count = if per_client { clients.max(1) } else { 1 };
-        ClientLans {
-            media: (0..count)
-                .map(|segment| {
-                    Medium::with_loss(
-                        params.clone(),
-                        loss_probability,
-                        Self::segment_seed(seed, segment),
-                    )
-                })
-                .collect(),
+    fn into_parts(self) -> (usize, ClientInput) {
+        (0, self)
+    }
+}
+
+impl WriterEvent for (usize, ClientInput) {
+    fn new(client: usize, input: ClientInput) -> Self {
+        (client, input)
+    }
+
+    fn into_parts(self) -> (usize, ClientInput) {
+        self
+    }
+}
+
+/// The writer population: file-writing clients, each copying a chain of
+/// segment files and rolling to the next when the previous one's `close(2)`
+/// returns.  A single file copy is the one-client, one-segment case.
+pub(crate) struct Writers<E> {
+    pub(crate) slots: Vec<ClientSlot>,
+    /// Xid distance between one client's consecutive segments.
+    segment_stride: u32,
+    /// Action buffer reused for every event.
+    actions: Vec<ClientAction>,
+    event: PhantomData<E>,
+}
+
+impl<E> Writers<E> {
+    /// An empty population whose clients move `segment_stride` xids on at
+    /// every segment roll.
+    pub(crate) fn new(segment_stride: u32) -> Self {
+        Writers {
+            slots: Vec::new(),
+            segment_stride,
+            actions: Vec::new(),
+            event: PhantomData,
         }
     }
 
-    /// Per-segment rng seed: a splitmix-style mix of the base seed and the
-    /// segment index, so adjacent segments do not share prefixes.
-    fn segment_seed(seed: u64, segment: usize) -> u64 {
-        let mut z = seed
-            .wrapping_add(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add((segment as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+    /// Add a client writing `handle` under `config`, then each of `pending`
+    /// in turn.
+    pub(crate) fn push(
+        &mut self,
+        config: ClientConfig,
+        handle: FileHandle,
+        pending: VecDeque<(FileHandle, u64)>,
+    ) {
+        self.slots.push(ClientSlot {
+            writer: FileWriterClient::new(config, handle),
+            pending,
+            finished: ClientStats::default(),
+            completed_at: None,
+        });
+    }
+}
+
+impl<E: WriterEvent> Population for Writers<E> {
+    type Event = E;
+
+    fn start(&mut self, bed: &mut Testbed<E>) {
+        for client in 0..self.slots.len() {
+            bed.schedule(SimTime::ZERO, E::new(client, ClientInput::Start));
+        }
     }
 
-    /// Open a loss window on one segment (`Some(idx)`, clamped into range) or
-    /// on every segment (`None`).
-    pub(crate) fn inject_loss_window(
-        &mut self,
-        segment: Option<usize>,
-        from: SimTime,
-        until: SimTime,
-        probability: f64,
-    ) {
-        match segment {
-            Some(idx) => {
-                let idx = idx.min(self.media.len() - 1);
-                self.media[idx].inject_loss_window(from, until, probability);
-            }
-            None => {
-                for medium in &mut self.media {
-                    medium.inject_loss_window(from, until, probability);
+    fn handle(&mut self, t: SimTime, event: E, bed: &mut Testbed<E>) {
+        let (client, input) = event.into_parts();
+        let slot = &mut self.slots[client];
+        slot.writer.handle_into(t, input, &mut self.actions);
+        for action in self.actions.drain(..) {
+            match action {
+                ClientAction::Send { at, call } => bed.send(at, client, call),
+                ClientAction::Wakeup { at, token } => {
+                    bed.schedule(at, E::new(client, ClientInput::Wakeup { token }));
+                }
+                ClientAction::Completed { at } => {
+                    let stats = slot.writer.stats();
+                    slot.finished.bytes_acked += stats.bytes_acked;
+                    slot.finished.retransmissions += stats.retransmissions;
+                    slot.finished.gave_up += stats.gave_up;
+                    slot.finished.paced_commits += stats.paced_commits;
+                    if let Some((handle, size)) = slot.pending.pop_front() {
+                        // Roll to the next segment file: a fresh writer with
+                        // the next xid generation, started at this close's
+                        // return time.
+                        let config = ClientConfig {
+                            file_size: size,
+                            xid_base: slot
+                                .writer
+                                .config()
+                                .xid_base
+                                .wrapping_add(self.segment_stride),
+                            ..slot.writer.config().clone()
+                        };
+                        slot.writer = FileWriterClient::new(config, handle);
+                        bed.schedule(at, E::new(client, ClientInput::Start));
+                    } else {
+                        slot.completed_at = Some(at);
+                    }
                 }
             }
         }
     }
 
-    /// The segment a client transmits and receives on.
-    pub(crate) fn medium_mut(&mut self, client: usize) -> &mut Medium {
-        let idx = if self.media.len() > 1 { client } else { 0 };
-        &mut self.media[idx]
-    }
-
-    /// Number of distinct segments.
-    pub(crate) fn segments(&self) -> usize {
-        self.media.len()
-    }
-}
-
-/// Events flowing through the combined system.
-enum Ev {
-    Client(usize, ClientInput),
-    Server(ServerInput),
-}
-
-/// Per-client bookkeeping: the live writer plus the accumulated stats of the
-/// segments it already finished.
-struct ClientSlot {
-    writer: FileWriterClient,
-    /// Segments not yet started: front = next.
-    pending: VecDeque<(FileHandle, u64)>,
-    /// Index of the segment the live writer is on.
-    segment: usize,
-    /// Acked bytes of *finished* segments; the live writer's are folded in on
-    /// its `Completed` action (see [`ClientSlot::bytes_acked`]).
-    finished_bytes_acked: u64,
-    finished_retransmissions: u64,
-    finished_gave_up: u64,
-    finished_paced_commits: u64,
-    completed_at: Option<SimTime>,
-}
-
-impl ClientSlot {
-    /// Total acknowledged bytes, including the live writer's.  An incomplete
-    /// client (stalled mid-segment) must still report what it did transfer —
-    /// that partial count is exactly what diagnosing a dead multi-client cell
-    /// needs.
-    fn bytes_acked(&self) -> u64 {
-        let live = if self.completed_at.is_some() {
-            // The final segment's stats were folded in on completion; the
-            // writer still holds them, so don't count them twice.
-            0
-        } else {
-            self.writer.stats().bytes_acked
-        };
-        self.finished_bytes_acked + live
-    }
-
-    /// Total retransmissions, including the live writer's.
-    fn retransmissions(&self) -> u64 {
-        let live = if self.completed_at.is_some() {
-            0
-        } else {
-            self.writer.stats().retransmissions
-        };
-        self.finished_retransmissions + live
-    }
-
-    /// Total abandoned writes, including the live writer's.
-    fn gave_up(&self) -> u64 {
-        let live = if self.completed_at.is_some() {
-            0
-        } else {
-            self.writer.stats().gave_up
-        };
-        self.finished_gave_up + live
-    }
-
-    /// Total interval-paced COMMITs, including the live writer's.
-    fn paced_commits(&self) -> u64 {
-        let live = if self.completed_at.is_some() {
-            0
-        } else {
-            self.writer.stats().paced_commits
-        };
-        self.finished_paced_commits + live
+    fn reply(client: u32, reply: NfsReply) -> E {
+        E::new(client as usize, ClientInput::Reply(reply))
     }
 }
 
 /// The assembled N-client system.
 pub struct MultiClientSystem {
     config: MultiClientConfig,
-    slots: Vec<ClientSlot>,
-    layouts: Vec<Vec<(String, u64)>>,
-    server: NfsServer,
-    /// One shared segment, or one segment per client when
+    /// The server behind one shared segment, or one segment per client when
     /// [`MultiClientConfig::per_client_lans`] is set.
-    lans: ClientLans,
-    queue: EventQueue<Ev>,
-    started_at: SimTime,
-    events_processed: u64,
+    bed: Testbed<(usize, ClientInput)>,
+    writers: Writers<(usize, ClientInput)>,
 }
 
 impl MultiClientSystem {
-    /// Upper bound on events per run, scaled with the aggregate byte budget
-    /// (a 10 MB copy needs ~13 k events; this allows ~400× that per 10 MB).
-    fn max_events(&self) -> u64 {
-        let aggregate_mb =
-            (self.config.clients as u64 * self.config.bytes_per_client) / (1024 * 1024);
-        5_000_000 * aggregate_mb.max(1)
-    }
-
     /// Build the system: the server exports one fresh filesystem holding
     /// every client's segment files, created outside the measured window.
     pub fn new(config: MultiClientConfig) -> Self {
@@ -452,42 +405,19 @@ impl MultiClientSystem {
             segment_stride,
             config.xids_per_segment()
         );
-        let medium_params = config.network.params();
-        let mut server_config = ServerConfig {
-            policy: config.policy,
-            nfsds: config.nfsds,
-            ..ServerConfig::standard()
-        };
-        server_config.storage.prestoserve = config.prestoserve;
-        server_config.storage.spindles = config.spindles;
-        server_config.procrastination = medium_params.procrastination;
-        server_config.shards = config.shards.max(1);
-        server_config.cores = config.cores.max(1);
-        server_config.io_overlap = config.io_overlap;
-        server_config = server_config
-            .with_unified_cache(config.cache_pages)
-            .with_dirty_ratio(config.dirty_ratio)
-            .with_stability(config.stability);
+        let mut server_config = server_config!(config);
         // GB-scale aggregates must fit the data region; keep the default
         // geometry unless the sweep actually needs more.
         let aggregate = config.clients as u64 * config.bytes_per_client;
         server_config.data_capacity = server_config.data_capacity.max(aggregate + aggregate / 4);
         let mut server = NfsServer::new(server_config);
 
-        let root = server.fs().root();
-        let mut slots = Vec::with_capacity(config.clients);
-        let mut layouts = Vec::with_capacity(config.clients);
+        let mut writers = Writers::new(segment_stride);
         for client in 0..config.clients {
-            let layout = config.layout(client);
-            let mut pending: VecDeque<(FileHandle, u64)> = layout
+            let mut pending: VecDeque<(FileHandle, u64)> = config
+                .layout(client)
                 .iter()
-                .map(|(name, size)| {
-                    let ino = server
-                        .fs_mut()
-                        .create(root, name, 0o644, 0)
-                        .expect("fresh namespace");
-                    (server.handle_for_ino(ino).expect("live inode"), *size)
-                })
+                .map(|(name, size)| (create_file(&mut server, name), *size))
                 .collect();
             let (handle, size) = pending.pop_front().unwrap_or((
                 // A zero-byte budget still gets a writer so the slot completes
@@ -495,215 +425,86 @@ impl MultiClientSystem {
                 server.root_handle(),
                 0,
             ));
-            let writer =
-                FileWriterClient::new(Self::client_config(&config, client, 0, size), handle);
-            slots.push(ClientSlot {
-                writer,
-                pending,
-                segment: 0,
-                finished_bytes_acked: 0,
-                finished_retransmissions: 0,
-                finished_gave_up: 0,
-                finished_paced_commits: 0,
-                completed_at: None,
-            });
-            layouts.push(layout);
+            let client_config = ClientConfig {
+                biods: config.biods,
+                file_size: size,
+                xid_base: config.xid_base(client, 0),
+                fill_salt: MultiClientConfig::fill_salt(client),
+                stability: stable_how(config.stability),
+                commit_interval: config.commit_interval,
+                ..ClientConfig::default()
+            };
+            writers.push(client_config, handle, pending);
         }
-        let lans = ClientLans::new(&medium_params, config.clients, config.per_client_lans);
+        let lans = ClientLans::new(
+            &config.network.params(),
+            config.clients,
+            config.per_client_lans,
+            None,
+        );
         MultiClientSystem {
-            lans,
-            queue: EventQueue::new(),
-            started_at: SimTime::ZERO,
-            events_processed: 0,
-            slots,
-            layouts,
-            server,
+            bed: Testbed::new(server, lans, FaultPlan::new()),
+            writers,
             config,
-        }
-    }
-
-    fn client_config(
-        config: &MultiClientConfig,
-        client: usize,
-        segment: usize,
-        file_size: u64,
-    ) -> ClientConfig {
-        ClientConfig {
-            biods: config.biods,
-            file_size,
-            xid_base: config.xid_base(client, segment),
-            fill_salt: MultiClientConfig::fill_salt(client),
-            stability: match config.stability {
-                StabilityMode::Stable => StableHow::FileSync,
-                StabilityMode::Unstable => StableHow::Unstable,
-            },
-            commit_interval: config.commit_interval,
-            ..ClientConfig::default()
         }
     }
 
     /// Run every client to completion and return the scale-out result.
     pub fn run(&mut self) -> MultiClientResult {
-        self.events_processed = 0;
-        for client in 0..self.slots.len() {
-            self.queue
-                .schedule_at(SimTime::ZERO, Ev::Client(client, ClientInput::Start));
-        }
-        let max_events = self.max_events();
-        let mut client_actions: Vec<ClientAction> = Vec::new();
-        let mut server_actions: Vec<ServerAction> = Vec::new();
-        while let Some((t, ev)) = self.queue.pop() {
-            self.events_processed += 1;
-            assert!(
-                self.events_processed < max_events,
-                "runaway multi-client simulation at {t:?}"
-            );
-            match ev {
-                Ev::Client(client, input) => {
-                    self.slots[client]
-                        .writer
-                        .handle_into(t, input, &mut client_actions);
-                    self.apply_client_actions(client, &mut client_actions);
-                }
-                Ev::Server(input) => {
-                    self.server.handle_into(t, input, &mut server_actions);
-                    self.apply_server_actions(&mut server_actions);
-                }
-            }
-        }
+        let aggregate = self.config.clients as u64 * self.config.bytes_per_client;
+        self.bed.run(&mut self.writers, event_budget(aggregate));
         self.result()
     }
 
-    fn apply_client_actions(&mut self, client: usize, actions: &mut Vec<ClientAction>) {
-        for action in actions.drain(..) {
-            match action {
-                ClientAction::Send { at, call } => {
-                    let size = call.wire_size();
-                    let medium = self.lans.medium_mut(client);
-                    let fragments = medium.params().fragments_for(size);
-                    match medium.transmit(at, size, Direction::ToServer) {
-                        TransmitOutcome::Delivered { arrives_at } => {
-                            self.queue.schedule_at(
-                                arrives_at,
-                                Ev::Server(ServerInput::Datagram {
-                                    client: client as u32,
-                                    call,
-                                    wire_size: size,
-                                    fragments,
-                                }),
-                            );
-                        }
-                        TransmitOutcome::Lost => {}
-                    }
-                }
-                ClientAction::Wakeup { at, token } => {
-                    self.queue
-                        .schedule_at(at, Ev::Client(client, ClientInput::Wakeup { token }));
-                }
-                ClientAction::Completed { at } => {
-                    let slot = &mut self.slots[client];
-                    let stats = slot.writer.stats();
-                    slot.finished_bytes_acked += stats.bytes_acked;
-                    slot.finished_retransmissions += stats.retransmissions;
-                    slot.finished_gave_up += stats.gave_up;
-                    slot.finished_paced_commits += stats.paced_commits;
-                    if let Some((handle, size)) = slot.pending.pop_front() {
-                        // Roll to the next segment file: a fresh writer with
-                        // the next xid generation, started at this close's
-                        // return time.
-                        slot.segment += 1;
-                        slot.writer = FileWriterClient::new(
-                            Self::client_config(&self.config, client, slot.segment, size),
-                            handle,
-                        );
-                        self.queue
-                            .schedule_at(at, Ev::Client(client, ClientInput::Start));
-                    } else {
-                        slot.completed_at = Some(at);
-                    }
-                }
-            }
-        }
-    }
-
-    fn apply_server_actions(&mut self, actions: &mut Vec<ServerAction>) {
-        for action in actions.drain(..) {
-            match action {
-                ServerAction::Wakeup { at, token } => {
-                    self.queue
-                        .schedule_at(at, Ev::Server(ServerInput::Wakeup { token }));
-                }
-                ServerAction::Reply { at, client, reply } => {
-                    let size = reply.wire_size();
-                    match self.lans.medium_mut(client as usize).transmit(
-                        at,
-                        size,
-                        Direction::ToClient,
-                    ) {
-                        TransmitOutcome::Delivered { arrives_at } => {
-                            self.queue.schedule_at(
-                                arrives_at,
-                                Ev::Client(client as usize, ClientInput::Reply(reply)),
-                            );
-                        }
-                        TransmitOutcome::Lost => {}
-                    }
-                }
-            }
-        }
-    }
-
     fn result(&self) -> MultiClientResult {
-        let last_completion = self
-            .slots
+        let slots = &self.writers.slots;
+        let now = self.bed.queue.now();
+        let last_completion = slots
             .iter()
             .filter_map(|s| s.completed_at)
             .max()
-            .unwrap_or(self.queue.now());
-        let elapsed = last_completion.since(self.started_at);
-        let elapsed = if elapsed.is_zero() {
-            Duration::from_nanos(1)
-        } else {
-            elapsed
-        };
-        let device = self.server.device_stats();
-        let total_gave_up: u64 = self.slots.iter().map(|s| s.gave_up()).sum();
-        let all_completed =
-            self.slots.iter().all(|s| s.completed_at.is_some()) && total_gave_up == 0;
+            .unwrap_or(now);
+        let elapsed = last_completion.since(SimTime::ZERO);
+        let elapsed = Duration::from_nanos(elapsed.as_nanos().max(1));
+        let server = &self.bed.server;
+        let device = server.device_stats();
+        let total_gave_up: u64 = slots.iter().map(|s| s.total(|c| c.gave_up)).sum();
+        let all_completed = slots.iter().all(|s| s.completed_at.is_some()) && total_gave_up == 0;
         // On a loss-free fan-in every client must finish; a lossy or faulted
         // run may legitimately end with counted give-ups instead.
         debug_assert!(
             all_completed || total_gave_up > 0,
             "a client never finished its byte budget"
         );
-        let clients: Vec<FileCopyResult> = self
-            .slots
+        let clients: Vec<FileCopyResult> = slots
             .iter()
             .map(|slot| {
-                let completed = slot.completed_at.is_some() && slot.gave_up() == 0;
+                let gave_up = slot.total(|c| c.gave_up);
                 let client_elapsed = slot
                     .completed_at
-                    .unwrap_or(self.queue.now())
-                    .since(self.started_at)
+                    .unwrap_or(now)
+                    .since(SimTime::ZERO)
                     .as_secs_f64()
                     .max(1e-9);
                 FileCopyResult {
                     biods: self.config.biods,
-                    client_write_kb_per_sec: slot.bytes_acked() as f64 / 1024.0 / client_elapsed,
+                    client_write_kb_per_sec: slot.total(|c| c.bytes_acked) as f64
+                        / 1024.0
+                        / client_elapsed,
                     // Server-side quantities are shared; report them over the
                     // whole run so the per-client rows stay comparable.
-                    server_cpu_percent: self.server.cpu_utilization_percent(elapsed),
+                    server_cpu_percent: server.cpu_utilization_percent(elapsed),
                     disk_kb_per_sec: device.kb_per_sec(elapsed),
                     disk_trans_per_sec: device.transfers_per_sec(elapsed),
                     elapsed_secs: client_elapsed,
-                    mean_batch_size: self.server.stats().mean_batch_size(),
-                    retransmissions: slot.retransmissions(),
-                    gave_up: slot.gave_up(),
-                    completed,
+                    mean_batch_size: server.stats().mean_batch_size(),
+                    retransmissions: slot.total(|c| c.retransmissions),
+                    gave_up,
+                    completed: slot.completed_at.is_some() && gave_up == 0,
                 }
             })
             .collect();
-        let total_bytes_acked: u64 = self.slots.iter().map(|s| s.bytes_acked()).sum();
+        let total_bytes_acked: u64 = slots.iter().map(|s| s.total(|c| c.bytes_acked)).sum();
         let rates: Vec<f64> = clients.iter().map(|c| c.client_write_kb_per_sec).collect();
         MultiClientResult {
             aggregate_kb_per_sec: total_bytes_acked as f64 / 1024.0 / elapsed.as_secs_f64(),
@@ -722,19 +523,19 @@ impl MultiClientSystem {
     /// byte.  Catches cross-client bleed, lost writes and mis-routed replies.
     /// Assumes a loss-free run (every write acknowledged).
     pub fn verify_on_disk(&self) -> Result<(), String> {
-        let mut fs = self.server.fs().clone();
+        let mut fs = self.bed.server.fs().clone();
         let root = fs.root();
         let block = fs.params().block_size;
-        for (client, layout) in self.layouts.iter().enumerate() {
+        for client in 0..self.config.clients {
             let salt = MultiClientConfig::fill_salt(client);
-            for (name, size) in layout {
+            for (name, size) in self.config.layout(client) {
                 let ino = fs
-                    .lookup(root, name)
+                    .lookup(root, &name)
                     .map_err(|e| format!("client {client}: {name} missing: {e}"))?;
                 let attrs = fs
                     .getattr(ino)
                     .map_err(|e| format!("client {client}: {name} getattr: {e}"))?;
-                if attrs.size != *size {
+                if attrs.size != size {
                     return Err(format!(
                         "client {client}: {name} is {} bytes, expected {size}",
                         attrs.size
@@ -758,37 +559,16 @@ impl MultiClientSystem {
         Ok(())
     }
 
-    /// The server, for post-run inspection.
-    pub fn server(&self) -> &NfsServer {
-        &self.server
-    }
+    testbed_accessors!();
 
     /// Interval-paced COMMITs sent across all clients (zero unless
     /// [`MultiClientConfig::commit_interval`] is armed).
     pub fn paced_commits(&self) -> u64 {
-        self.slots.iter().map(|s| s.paced_commits()).sum()
-    }
-
-    /// Number of events processed by the most recent run.
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
-
-    /// Events ever scheduled.
-    pub fn scheduled_total(&self) -> u64 {
-        self.queue.scheduled_total()
-    }
-
-    /// Events scheduled into the simulated past (must stay zero; see
-    /// [`EventQueue::clamped_past`]).
-    pub fn clamped_past(&self) -> u64 {
-        self.queue.clamped_past()
-    }
-
-    /// Scheduler-health counters of the pending-event set (the calendar
-    /// queue's geometry).
-    pub fn sched_stats(&self) -> CalStats {
-        self.queue.sched_stats()
+        self.writers
+            .slots
+            .iter()
+            .map(|s| s.total(|c| c.paced_commits))
+            .sum()
     }
 
     /// The configuration the system was built with.
@@ -800,6 +580,7 @@ impl MultiClientSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testbed::Ev;
 
     /// Pin the driver event's footprint.  Every schedule moves one `Ev` by
     /// value into the calendar queue and every pop moves it back out, so a
@@ -809,9 +590,9 @@ mod tests {
     #[test]
     fn driver_event_stays_within_its_pinned_footprint() {
         assert!(
-            std::mem::size_of::<Ev>() <= 112,
+            std::mem::size_of::<Ev<(usize, ClientInput)>>() <= 112,
             "Ev grew to {} bytes; box the large variant",
-            std::mem::size_of::<Ev>()
+            std::mem::size_of::<Ev<(usize, ClientInput)>>()
         );
     }
 

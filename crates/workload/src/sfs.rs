@@ -22,12 +22,11 @@
 //! the sharded, multi-core, pipelined server of later PRs does.
 //! [`SfsConfig::clients`] grows the harness to N independent generator
 //! streams — per-client RNG salt, xid partition and scratch-file namespace —
-//! optionally over per-client LAN segments
-//! ([`SfsConfig::per_client_lans`], the topology of
-//! [`crate::MultiClientSystem`]), feeding one server configured with the full
-//! shard/core/spindle/overlap stack.  The defaults (`clients = 1`, shared
-//! LAN, one shard, one core, serial driver) reproduce the original
-//! single-generator points exactly.
+//! optionally over per-client LAN segments ([`SfsConfig::per_client_lans`]).
+//! The generators are the second population of the testbed the file-copy
+//! writers run on: the same fan-in, server, event loop and fault plan.  The
+//! defaults (`clients = 1`, shared LAN, one shard, one core, serial driver)
+//! reproduce the original single-generator points exactly.
 //!
 //! # Hot-loop discipline
 //!
@@ -43,21 +42,20 @@
 use std::sync::Arc;
 use wg_simcore::FxHashMap;
 
-use wg_net::medium::Direction;
-use wg_net::TransmitOutcome;
 use wg_nfsproto::{
     CommitArgs, CreateArgs, DirOpArgs, FileHandle, GetattrArgs, LockArgs, NfsCall, NfsCallBody,
-    NfsReply, NfsReplyBody, NfsStatus, ReadArgs, ReaddirArgs, RenewArgs, Sattr, StableHow,
-    StatusReply, WriteArgs, Xid,
+    NfsReply, NfsReplyBody, NfsStatus, ReadArgs, ReaddirArgs, RenewArgs, Sattr, StatusReply,
+    WriteArgs, Xid,
 };
-use wg_server::{NfsServer, ServerAction, ServerConfig, ServerInput, StabilityMode, WritePolicy};
-use wg_simcore::{
-    CalStats, Duration, EventQueue, FaultKind, FaultPlan, LatencyStat, SimRng, SimTime,
-};
+use wg_server::{NfsServer, StabilityMode, WritePolicy};
+use wg_simcore::{Duration, FaultPlan, LatencyStat, SimRng, SimTime};
 
-use crate::multi::ClientLans;
 use crate::results::{MultiClientResult, SfsPoint};
 use crate::system::NetworkKind;
+use crate::testbed::{
+    create_file, server_config, server_knob_builders, stable_how, testbed_accessors, ClientLans,
+    Population, Testbed,
+};
 
 /// The operation mix, as percentages that sum to 100.
 #[derive(Clone, Copy, Debug, serde::Serialize)]
@@ -329,23 +327,7 @@ impl SfsConfig {
         self
     }
 
-    /// Shard the server's request path `n` ways.
-    pub fn with_shards(mut self, n: usize) -> Self {
-        self.shards = n.max(1);
-        self
-    }
-
-    /// Give the server `n` CPU cores.
-    pub fn with_cores(mut self, n: usize) -> Self {
-        self.cores = n.max(1);
-        self
-    }
-
-    /// Enable pipelined storage-stack execution on the server.
-    pub fn with_io_overlap(mut self, on: bool) -> Self {
-        self.io_overlap = on;
-        self
-    }
+    server_knob_builders!();
 
     /// Spread the exported filesystem's inodes over `n` FFS-style groups.
     pub fn with_inode_groups(mut self, n: usize) -> Self {
@@ -356,12 +338,6 @@ impl SfsConfig {
     /// Keep read-fetched blocks resident in the server's buffer cache.
     pub fn with_read_caching(mut self, on: bool) -> Self {
         self.read_caching = on;
-        self
-    }
-
-    /// Use a stripe set of `n` spindles.
-    pub fn with_spindles(mut self, n: usize) -> Self {
-        self.spindles = n.max(1);
         self
     }
 
@@ -388,25 +364,6 @@ impl SfsConfig {
     pub fn with_retry(mut self, initial_timeout: Duration, max_retransmits: u32) -> Self {
         self.retry_initial_timeout = initial_timeout;
         self.max_retransmits = max_retransmits;
-        self
-    }
-
-    /// Arm the server's bounded unified buffer cache with `pages` pages
-    /// (`0` disarms it).
-    pub fn with_unified_cache(mut self, pages: u64) -> Self {
-        self.cache_pages = pages;
-        self
-    }
-
-    /// Set the dirty-page throttle fraction of the unified cache.
-    pub fn with_dirty_ratio(mut self, ratio: f64) -> Self {
-        self.dirty_ratio = ratio;
-        self
-    }
-
-    /// Select the write-stability regime of the cell.
-    pub fn with_stability(mut self, mode: StabilityMode) -> Self {
-        self.stability = mode;
         self
     }
 
@@ -759,14 +716,8 @@ impl SfsGenerator {
         let generation = self.write_files[idx].generation + 1;
         self.name_mints += 1;
         let name = scratch_file_name(self.client as usize, slot, generation);
-        let root = server.fs().root();
-        let ino = server
-            .fs_mut()
-            .create(root, &name, 0o644, 0)
-            .expect("scratch rotation name is fresh");
-        let handle = server.handle_for_ino(ino).expect("live inode");
         self.write_files[idx] = ScratchFile {
-            handle,
+            handle: create_file(server, &name),
             offset: 0,
             slot,
             generation,
@@ -788,6 +739,7 @@ impl SfsGenerator {
         config: &SfsConfig,
         server: &mut NfsServer,
     ) -> NfsCall {
+        self.issued += 1;
         // Drain an in-progress write burst first: LADDIS writes whole files
         // in consecutive 8 KB chunks, so write operations arrive in bursts
         // (under unstable stability the burst's trailing COMMIT rides the
@@ -850,10 +802,7 @@ impl SfsGenerator {
                 } = self.write_files[idx];
                 self.write_files[idx].offset = start + burst_len * CHUNK;
                 debug_assert!(start + burst_len * CHUNK <= u32::MAX as u64);
-                let stable_how = match config.stability {
-                    StabilityMode::Stable => StableHow::FileSync,
-                    StabilityMode::Unstable => StableHow::Unstable,
-                };
+                let stable_how = stable_how(config.stability);
                 // The COMMIT pops after the last chunk of the burst (the
                 // queue pops from the back, so it is pushed first).
                 if config.stability == StabilityMode::Unstable {
@@ -1076,16 +1025,14 @@ fn churn_origin(churn: Duration, client: usize, clients: usize) -> SimTime {
     SimTime::ZERO + churn + Duration::from_nanos(stagger + client as u64 + 1)
 }
 
-enum Ev {
+/// The SFS population's own events.
+pub(crate) enum SfsEv {
+    /// The next call of one client's Poisson stream is due.
     NextArrival(usize),
-    Server(ServerInput),
+    /// A reply reached a client.
     Reply(u32, NfsReply),
     /// Retry timer of one call: `(client, xid, attempts already made)`.
     RetryCheck(usize, u32, u32),
-    /// An injected fault fires (scheduled only when the plan is non-empty).
-    Fault(FaultKind),
-    /// The NVRAM battery comes back after a `BatteryFailure`.
-    BatteryRepair,
     /// One client's lease tick: register/renew/lock/reclaim, then
     /// self-reschedule (scheduled only when [`SfsConfig::leases`]).
     LeaseTick(usize),
@@ -1094,19 +1041,154 @@ enum Ev {
     ChurnTick(usize),
 }
 
+/// The SFS population: N generator streams over one shared namespace, and
+/// the latency of every completed call.
+struct Generators {
+    config: SfsConfig,
+    shared: SharedFiles,
+    streams: Vec<SfsGenerator>,
+    latency: LatencyStat,
+}
+
+impl Generators {
+    /// Send a fresh call of `client`.  With the fault layer armed, retain a
+    /// copy and start its retry timer first; the timer chain always ends in
+    /// a reply or a counted give-up.  With it disarmed nothing is cloned or
+    /// scheduled, and the run replays the pre-fault harness event for event.
+    fn send(&mut self, t: SimTime, client: usize, call: NfsCall, bed: &mut Testbed<SfsEv>) {
+        if self.config.faults_enabled() {
+            let xid = call.xid.0;
+            self.streams[client].retry_calls.insert(xid, call.clone());
+            bed.schedule(
+                t + self.config.retry_initial_timeout,
+                SfsEv::RetryCheck(client, xid, 0),
+            );
+        }
+        bed.send(t, client, call);
+    }
+}
+
+impl Population for Generators {
+    type Event = SfsEv;
+
+    fn start(&mut self, bed: &mut Testbed<SfsEv>) {
+        for (client, stream) in self.streams.iter_mut().enumerate() {
+            let gap = Duration::from_secs_f64(stream.rng.exponential(stream.mean_gap));
+            bed.schedule(SimTime::ZERO + gap, SfsEv::NextArrival(client));
+        }
+        // Lease machinery is armed like the fault layer: off (the default)
+        // schedules no ticks, touches no state and replays the stateless
+        // harness event for event.
+        if self.config.leases {
+            let clients = self.streams.len();
+            for client in 0..clients {
+                bed.schedule(
+                    lease_tick_origin(self.config.lease_renew_interval, client),
+                    SfsEv::LeaseTick(client),
+                );
+            }
+            if self.config.churn_interval > Duration::ZERO {
+                for client in 0..clients {
+                    bed.schedule(
+                        churn_origin(self.config.churn_interval, client, clients),
+                        SfsEv::ChurnTick(client),
+                    );
+                }
+            }
+        }
+    }
+
+    fn handle(&mut self, t: SimTime, event: SfsEv, bed: &mut Testbed<SfsEv>) {
+        let end = SimTime::ZERO + self.config.duration;
+        match event {
+            SfsEv::NextArrival(client) => {
+                if t < end {
+                    let call = self.streams[client].next_call(
+                        t,
+                        &self.shared,
+                        &self.config,
+                        &mut bed.server,
+                    );
+                    self.send(t, client, call, bed);
+                    let stream = &mut self.streams[client];
+                    let gap = Duration::from_secs_f64(stream.rng.exponential(stream.mean_gap));
+                    bed.schedule(t + gap, SfsEv::NextArrival(client));
+                }
+            }
+            SfsEv::Reply(client, reply) => {
+                let stream = &mut self.streams[client as usize];
+                if let Some((sent, kind)) = stream.outstanding.take(reply.xid.0) {
+                    if matches!(kind, OpKind::Renew | OpKind::Lock) {
+                        // Lease-protocol traffic: drive the client state
+                        // machine, never the throughput counters.
+                        stream.lease.completed += 1;
+                        stream.on_state_reply(&reply.body);
+                    } else {
+                        self.latency.record(t.since(sent));
+                        stream.completed += 1;
+                    }
+                    if self.config.faults_enabled() {
+                        stream.retry_calls.remove(&reply.xid.0);
+                    }
+                }
+            }
+            SfsEv::RetryCheck(client, xid, attempt) => {
+                let stream = &mut self.streams[client];
+                if !stream.outstanding.contains(xid) {
+                    // Answered (or lapped) while the timer was in flight.
+                    stream.retry_calls.remove(&xid);
+                } else if attempt >= self.config.max_retransmits {
+                    // Exhausted: abandon the call as a counted failure —
+                    // never a silent success.
+                    stream.outstanding.take(xid);
+                    stream.retry_calls.remove(&xid);
+                    stream.gave_up += 1;
+                } else if let Some(call) = stream.retry_calls.get(&xid).cloned() {
+                    stream.retransmissions += 1;
+                    bed.send(t, client, call);
+                    // Exponential backoff, capped so the shift can't
+                    // overflow on large attempt caps.
+                    let backoff = self
+                        .config
+                        .retry_initial_timeout
+                        .saturating_mul(1u64 << (attempt + 1).min(10));
+                    bed.schedule(t + backoff, SfsEv::RetryCheck(client, xid, attempt + 1));
+                }
+            }
+            SfsEv::LeaseTick(client) => {
+                if t < end {
+                    if let Some(call) = self.streams[client].lease_tick_call(t, &self.shared) {
+                        self.send(t, client, call, bed);
+                    }
+                    // A lease-dead stream stops ticking; the server's
+                    // expiry sweep reclaims its records.
+                    if !self.streams[client].lease.dead {
+                        bed.schedule(
+                            t + self.config.lease_renew_interval,
+                            SfsEv::LeaseTick(client),
+                        );
+                    }
+                }
+            }
+            SfsEv::ChurnTick(client) => {
+                if t < end {
+                    self.streams[client].lease_reboot();
+                    bed.schedule(t + self.config.churn_interval, SfsEv::ChurnTick(client));
+                }
+            }
+        }
+    }
+
+    fn reply(client: u32, reply: NfsReply) -> SfsEv {
+        SfsEv::Reply(client, reply)
+    }
+}
+
 /// One SFS-style measurement run: N generator streams, their LAN fan-in and
 /// the server, wired through one deterministic event loop.
 pub struct SfsSystem {
-    config: SfsConfig,
-    server: NfsServer,
-    lans: ClientLans,
-    queue: EventQueue<Ev>,
-    shared: SharedFiles,
-    generators: Vec<SfsGenerator>,
-    latency: LatencyStat,
-    issued: u64,
-    completed: u64,
-    events_processed: u64,
+    bed: Testbed<SfsEv>,
+    fleet: Generators,
 }
 
 impl SfsSystem {
@@ -1121,35 +1203,20 @@ impl SfsSystem {
             config.scratch_file_limit <= 16 * 1024 * 1024,
             "scratch_file_limit must stay inside the ≈16 MB UFS file cap"
         );
-        let medium_params = config.network.params();
-        let mut server_config = ServerConfig {
-            policy: config.policy,
-            nfsds: config.nfsds,
-            // The DEC 3800 of Figures 2/3 is a faster machine than the cost
-            // table's reference; reflect that so the curves reach a few
-            // hundred ops/sec before CPU saturation.
-            cpu_speed: 1.6,
-            ..ServerConfig::standard()
-        };
-        server_config.storage.prestoserve = config.prestoserve;
-        server_config.storage.spindles = config.spindles;
-        server_config.procrastination = medium_params.procrastination;
-        server_config.shards = config.shards.max(1);
-        server_config.cores = config.cores.max(1);
-        server_config.io_overlap = config.io_overlap;
-        server_config.inode_groups = config.inode_groups.max(1);
-        server_config.read_caching = config.read_caching;
         assert!(
             !config.leases || config.lease_renew_interval > Duration::ZERO,
             "lease_renew_interval must be non-zero when leases are armed"
         );
-        server_config = server_config
-            .with_unified_cache(config.cache_pages)
-            .with_dirty_ratio(config.dirty_ratio)
-            .with_stability(config.stability)
+        let mut server_config = server_config!(config)
             .with_leases(config.leases)
             .with_lease_duration(config.lease_duration)
             .with_grace_period(config.grace_period);
+        // The DEC 3800 of Figures 2/3 is a faster machine than the cost
+        // table's reference; reflect that so the curves reach a few hundred
+        // ops/sec before CPU saturation.
+        server_config.cpu_speed = 1.6;
+        server_config.inode_groups = config.inode_groups.max(1);
+        server_config.read_caching = config.read_caching;
         let mut server = NfsServer::new(server_config);
 
         let root = server.fs().root();
@@ -1166,24 +1233,19 @@ impl SfsSystem {
         let stride = config.xid_stride();
         let expected_ops = config.expected_ops_per_client();
         let mean_gap = clients as f64 / config.offered_ops_per_sec.max(1e-9);
-        let mut generators = Vec::with_capacity(clients);
+        let mut streams = Vec::with_capacity(clients);
         for client in 0..clients {
             let mut write_files = Vec::with_capacity(SCRATCH_SLOTS);
             for slot in 0..SCRATCH_SLOTS {
-                let name = scratch_file_name(client, slot, 0);
-                let ino = server
-                    .fs_mut()
-                    .create(root, &name, 0o644, 0)
-                    .expect("fresh namespace");
                 write_files.push(ScratchFile {
-                    handle: server.handle_for_ino(ino).expect("live inode"),
+                    handle: create_file(&mut server, &scratch_file_name(client, slot, 0)),
                     offset: 0,
                     slot,
                     generation: 0,
                 });
             }
             let base = config.xid_base(client);
-            generators.push(SfsGenerator {
+            streams.push(SfsGenerator {
                 client: client as u32,
                 // Client 0 replays the single-client harness's stream; the
                 // others run independent, salted streams of the same shape.
@@ -1210,289 +1272,65 @@ impl SfsSystem {
             });
         }
         let root_handle = server.root_handle();
+        let lans = ClientLans::new(
+            &config.network.params(),
+            clients,
+            config.per_client_lans,
+            Some((config.loss_probability, config.loss_seed())),
+        );
         SfsSystem {
-            lans: ClientLans::with_loss(
-                &medium_params,
-                clients,
-                config.per_client_lans,
-                config.loss_probability,
-                config.loss_seed(),
-            ),
-            queue: EventQueue::new(),
-            shared: SharedFiles {
-                root: root_handle,
-                files,
+            bed: Testbed::new(server, lans, config.fault_plan.clone()),
+            fleet: Generators {
+                config,
+                shared: SharedFiles {
+                    root: root_handle,
+                    files,
+                },
+                streams,
+                latency: LatencyStat::new(),
             },
-            generators,
-            latency: LatencyStat::new(),
-            issued: 0,
-            completed: 0,
-            events_processed: 0,
-            server,
-            config,
         }
     }
 
     /// Generate one call of a client's stream without transmitting it — the
     /// hook the allocation probes drive the hot loop through.
     pub fn generate_one(&mut self, now: SimTime, client: usize) -> NfsCall {
-        let call =
-            self.generators[client].next_call(now, &self.shared, &self.config, &mut self.server);
-        self.generators[client].issued += 1;
-        self.issued += 1;
-        call
-    }
-
-    /// Transmit one call toward the server on the client's LAN segment.
-    fn transmit_call(&mut self, t: SimTime, client: usize, call: NfsCall) {
-        let size = call.wire_size();
-        let medium = self.lans.medium_mut(client);
-        let fragments = medium.params().fragments_for(size);
-        if let TransmitOutcome::Delivered { arrives_at } =
-            medium.transmit(t, size, Direction::ToServer)
-        {
-            self.queue.schedule_at(
-                arrives_at,
-                Ev::Server(ServerInput::Datagram {
-                    client: client as u32,
-                    call,
-                    wire_size: size,
-                    fragments,
-                }),
-            );
-        }
+        let fleet = &mut self.fleet;
+        fleet.streams[client].next_call(now, &fleet.shared, &fleet.config, &mut self.bed.server)
     }
 
     /// Run the measurement and produce one figure point.
     pub fn run(&mut self) -> SfsPoint {
-        self.run_events();
+        let max_events = 100_000_000 * self.fleet.streams.len() as u64;
+        self.bed.run(&mut self.fleet, max_events);
         let point = self.point();
-        if self.config.leases {
+        if self.fleet.config.leases {
             // Deterministic post-run expiry sweep: any stream that stopped
             // renewing — lease-dead after a give-up, or churn-killed — has
             // its lease expire here and its state reclaimed as orphans.
-            self.server
-                .expire_leases(SimTime::ZERO + self.config.duration);
+            self.bed
+                .server
+                .expire_leases(SimTime::ZERO + self.fleet.config.duration);
         }
         point
     }
 
-    /// The deterministic event loop of one run.
-    fn run_events(&mut self) {
-        self.events_processed = 0;
-        for client in 0..self.generators.len() {
-            let gap = {
-                let generator = &mut self.generators[client];
-                Duration::from_secs_f64(generator.rng.exponential(generator.mean_gap))
-            };
-            self.queue
-                .schedule_at(SimTime::ZERO + gap, Ev::NextArrival(client));
-        }
-        // With no injected faults and no loss the retry machinery is fully
-        // disarmed (no cloned calls, no timers, no extra events) and the
-        // plan schedules nothing: the run replays the pre-fault harness
-        // event for event.
-        let faults_armed = self.config.faults_enabled();
-        let retry_timeout = self.config.retry_initial_timeout;
-        // Lease machinery is armed the same way: off (the default) schedules
-        // no ticks, touches no state and replays the stateless harness event
-        // for event.
-        if self.config.leases {
-            for client in 0..self.generators.len() {
-                self.queue.schedule_at(
-                    lease_tick_origin(self.config.lease_renew_interval, client),
-                    Ev::LeaseTick(client),
-                );
-            }
-            if self.config.churn_interval > Duration::ZERO {
-                let clients = self.generators.len();
-                for client in 0..clients {
-                    self.queue.schedule_at(
-                        churn_origin(self.config.churn_interval, client, clients),
-                        Ev::ChurnTick(client),
-                    );
-                }
-            }
-        }
-        if !self.config.fault_plan.is_empty() {
-            let events: Vec<_> = self.config.fault_plan.events().to_vec();
-            for event in events {
-                self.queue.schedule_at(event.at, Ev::Fault(event.kind));
-            }
-        }
-        let end = SimTime::ZERO + self.config.duration;
-        // Scratch buffer reused across every server event (see
-        // `FileCopySystem::run` for the same pattern on the copy loop).
-        let mut server_actions: Vec<ServerAction> = Vec::new();
-        while let Some((t, ev)) = self.queue.pop() {
-            self.events_processed += 1;
-            assert!(
-                self.events_processed < 100_000_000 * self.generators.len() as u64,
-                "runaway SFS simulation"
-            );
-            match ev {
-                Ev::NextArrival(client) => {
-                    if t < end {
-                        let call = self.generate_one(t, client);
-                        if faults_armed {
-                            // Retain a copy so the retry timer can re-send an
-                            // unanswered call; the timer chain always ends in
-                            // a reply or a counted give-up.
-                            let xid = call.xid.0;
-                            self.generators[client]
-                                .retry_calls
-                                .insert(xid, call.clone());
-                            self.queue
-                                .schedule_at(t + retry_timeout, Ev::RetryCheck(client, xid, 0));
-                        }
-                        self.transmit_call(t, client, call);
-                        let generator = &mut self.generators[client];
-                        let gap =
-                            Duration::from_secs_f64(generator.rng.exponential(generator.mean_gap));
-                        self.queue.schedule_at(t + gap, Ev::NextArrival(client));
-                    }
-                }
-                Ev::Server(input) => {
-                    self.server.handle_into(t, input, &mut server_actions);
-                    for action in server_actions.drain(..) {
-                        match action {
-                            ServerAction::Wakeup { at, token } => {
-                                self.queue
-                                    .schedule_at(at, Ev::Server(ServerInput::Wakeup { token }));
-                            }
-                            ServerAction::Reply { at, client, reply } => {
-                                let size = reply.wire_size();
-                                if let TransmitOutcome::Delivered { arrives_at } = self
-                                    .lans
-                                    .medium_mut(client as usize)
-                                    .transmit(at, size, Direction::ToClient)
-                                {
-                                    self.queue.schedule_at(arrives_at, Ev::Reply(client, reply));
-                                }
-                            }
-                        }
-                    }
-                }
-                Ev::Reply(client, reply) => {
-                    let generator = &mut self.generators[client as usize];
-                    if let Some((sent, kind)) = generator.outstanding.take(reply.xid.0) {
-                        if matches!(kind, OpKind::Renew | OpKind::Lock) {
-                            // Lease-protocol traffic: drive the client state
-                            // machine, never the throughput counters.
-                            generator.lease.completed += 1;
-                            generator.on_state_reply(&reply.body);
-                        } else {
-                            self.latency.record(t.since(sent));
-                            generator.completed += 1;
-                            self.completed += 1;
-                        }
-                        if faults_armed {
-                            generator.retry_calls.remove(&reply.xid.0);
-                        }
-                    }
-                }
-                Ev::RetryCheck(client, xid, attempt) => {
-                    let generator = &mut self.generators[client];
-                    if !generator.outstanding.contains(xid) {
-                        // Answered (or lapped) while the timer was in flight.
-                        generator.retry_calls.remove(&xid);
-                    } else if attempt >= self.config.max_retransmits {
-                        // Exhausted: abandon the call as a counted failure —
-                        // never a silent success.
-                        generator.outstanding.take(xid);
-                        generator.retry_calls.remove(&xid);
-                        generator.gave_up += 1;
-                    } else if let Some(call) = generator.retry_calls.get(&xid).cloned() {
-                        generator.retransmissions += 1;
-                        self.transmit_call(t, client, call);
-                        // Exponential backoff, capped so the shift can't
-                        // overflow on large attempt caps.
-                        let backoff = retry_timeout.saturating_mul(1u64 << (attempt + 1).min(10));
-                        self.queue
-                            .schedule_at(t + backoff, Ev::RetryCheck(client, xid, attempt + 1));
-                    }
-                }
-                Ev::Fault(kind) => match kind {
-                    FaultKind::ServerCrash => {
-                        self.server.crash(t);
-                    }
-                    FaultKind::BatteryFailure { repair_after } => {
-                        self.server.set_battery(false, t);
-                        self.queue.schedule_at(t + repair_after, Ev::BatteryRepair);
-                    }
-                    FaultKind::DiskDegrade {
-                        duration,
-                        stall,
-                        retries,
-                    } => {
-                        self.server.inject_disk_fault(t, duration, stall, retries);
-                    }
-                    FaultKind::LossBurst {
-                        duration,
-                        probability,
-                        segment,
-                    } => {
-                        self.lans
-                            .inject_loss_window(segment, t, t + duration, probability);
-                    }
-                },
-                Ev::BatteryRepair => {
-                    self.server.set_battery(true, t);
-                }
-                Ev::LeaseTick(client) => {
-                    if t < end {
-                        let call = self.generators[client].lease_tick_call(t, &self.shared);
-                        if let Some(call) = call {
-                            if faults_armed {
-                                let xid = call.xid.0;
-                                self.generators[client]
-                                    .retry_calls
-                                    .insert(xid, call.clone());
-                                self.queue
-                                    .schedule_at(t + retry_timeout, Ev::RetryCheck(client, xid, 0));
-                            }
-                            self.transmit_call(t, client, call);
-                        }
-                        // A lease-dead stream stops ticking; the server's
-                        // expiry sweep reclaims its records.
-                        if !self.generators[client].lease.dead {
-                            self.queue.schedule_at(
-                                t + self.config.lease_renew_interval,
-                                Ev::LeaseTick(client),
-                            );
-                        }
-                    }
-                }
-                Ev::ChurnTick(client) => {
-                    if t < end {
-                        self.generators[client].lease_reboot();
-                        self.queue
-                            .schedule_at(t + self.config.churn_interval, Ev::ChurnTick(client));
-                    }
-                }
-            }
-        }
-    }
-
     /// The figure point of the finished run.
     fn point(&self) -> SfsPoint {
-        let measured = self.config.duration;
+        let measured = self.fleet.config.duration;
         SfsPoint {
-            offered_ops_per_sec: self.config.offered_ops_per_sec,
-            achieved_ops_per_sec: self.completed as f64 / measured.as_secs_f64(),
-            avg_latency_ms: self.latency.mean().as_millis_f64(),
-            server_cpu_percent: self.server.cpu_utilization_percent(measured),
+            offered_ops_per_sec: self.fleet.config.offered_ops_per_sec,
+            achieved_ops_per_sec: self.counts().1 as f64 / measured.as_secs_f64(),
+            avg_latency_ms: self.fleet.latency.mean().as_millis_f64(),
+            server_cpu_percent: self.bed.server.cpu_utilization_percent(measured),
         }
     }
 
-    /// The server, for post-run inspection.
-    pub fn server(&self) -> &NfsServer {
-        &self.server
-    }
+    testbed_accessors!();
 
     /// The configuration the system was built with.
     pub fn config(&self) -> &SfsConfig {
-        &self.config
+        &self.fleet.config
     }
 
     /// Drain the server after the measured window: flush the unified cache
@@ -1500,42 +1338,52 @@ impl SfsSystem {
     /// With the cache disarmed this changes nothing; with it armed it is how
     /// a sweep cell proves no acknowledged data was left volatile.
     pub fn quiesce_server(&mut self) {
-        let at = self.queue.now().max(SimTime::ZERO + self.config.duration);
+        let at = self
+            .bed
+            .queue
+            .now()
+            .max(SimTime::ZERO + self.fleet.config.duration);
         let mut actions = Vec::new();
-        self.server.quiesce(at, &mut actions);
+        self.bed.server.quiesce(at, &mut actions);
     }
 
     /// Operations issued and completed, across all client streams.
     pub fn counts(&self) -> (u64, u64) {
-        (self.issued, self.completed)
+        (self.sum(|g| g.issued), self.sum(|g| g.completed))
+    }
+
+    /// One per-stream counter summed over every stream.
+    fn sum(&self, stat: impl Fn(&SfsGenerator) -> u64) -> u64 {
+        self.fleet.streams.iter().map(stat).sum()
     }
 
     /// Calls abandoned after the retransmit budget, across all streams.
     /// When the fault layer is armed every issued call ends up either
     /// completed or here: `issued == completed + gave_up`.
     pub fn gave_up(&self) -> u64 {
-        self.generators.iter().map(|g| g.gave_up).sum()
+        self.sum(|g| g.gave_up)
     }
 
     /// Calls re-sent by the retry timers, across all streams.
     pub fn retransmissions(&self) -> u64 {
-        self.generators.iter().map(|g| g.retransmissions).sum()
+        self.sum(|g| g.retransmissions)
     }
 
     /// Number of generator streams.
     pub fn clients(&self) -> usize {
-        self.generators.len()
+        self.fleet.streams.len()
     }
 
     /// Number of distinct LAN segments feeding the server.
     pub fn lan_segments(&self) -> usize {
-        self.lans.segments()
+        self.bed.lans.media.len()
     }
 
     /// Achieved operations per second of each client stream.
     pub fn per_client_achieved_ops(&self) -> Vec<f64> {
-        let secs = self.config.duration.as_secs_f64().max(1e-9);
-        self.generators
+        let secs = self.fleet.config.duration.as_secs_f64().max(1e-9);
+        self.fleet
+            .streams
             .iter()
             .map(|g| g.completed as f64 / secs)
             .collect()
@@ -1550,7 +1398,7 @@ impl SfsSystem {
     /// names and scratch-file rotations) — everything else in steady-state op
     /// generation is allocation-free.
     pub fn name_mints(&self) -> u64 {
-        self.generators.iter().map(|g| g.name_mints).sum()
+        self.sum(|g| g.name_mints)
     }
 
     /// Lease-protocol calls issued and replies applied, across all streams
@@ -1558,60 +1406,55 @@ impl SfsSystem {
     /// achieved ops).
     pub fn lease_counts(&self) -> (u64, u64) {
         (
-            self.generators.iter().map(|g| g.lease.issued).sum(),
-            self.generators.iter().map(|g| g.lease.completed).sum(),
+            self.sum(|g| g.lease.issued),
+            self.sum(|g| g.lease.completed),
         )
     }
 
     /// Soft rejections clients observed while the server was in grace.
     pub fn grace_denials(&self) -> u64 {
-        self.generators.iter().map(|g| g.lease.grace_denied).sum()
+        self.sum(|g| g.lease.grace_denied)
     }
 
     /// Hard lock denials clients observed (conflict, seqid, refused reclaim,
     /// expiry).
     pub fn lock_denials(&self) -> u64 {
-        self.generators.iter().map(|g| g.lease.lock_denied).sum()
+        self.sum(|g| g.lease.lock_denied)
     }
 
     /// Fresh lock grants and grace-window reclaims confirmed by replies,
     /// across all streams.
     pub fn lock_grants(&self) -> (u64, u64) {
         (
-            self.generators.iter().map(|g| g.lease.locks_granted).sum(),
-            self.generators
-                .iter()
-                .map(|g| g.lease.reclaims_granted)
-                .sum(),
+            self.sum(|g| g.lease.locks_granted),
+            self.sum(|g| g.lease.reclaims_granted),
         )
     }
 
     /// Server reboots observed by clients through RENEW verifier changes.
     pub fn observed_server_reboots(&self) -> u64 {
-        self.generators.iter().map(|g| g.lease.server_reboots).sum()
+        self.sum(|g| g.lease.server_reboots)
     }
 
     /// Churn reboots the client fleet performed.
     pub fn churn_reboots(&self) -> u64 {
-        self.generators.iter().map(|g| g.lease.churns).sum()
+        self.sum(|g| g.lease.churns)
     }
 
     /// Streams that went lease-dead (stopped renewing after a give-up).
     pub fn lease_dead_streams(&self) -> usize {
-        self.generators.iter().filter(|g| g.lease.dead).count()
+        self.fleet.streams.iter().filter(|g| g.lease.dead).count()
     }
 
     /// Outstanding-ring slots reclaimed from calls that never got a reply.
     pub fn stale_overwrites(&self) -> u64 {
-        self.generators
-            .iter()
-            .map(|g| g.outstanding.stale_overwrites)
-            .sum()
+        self.sum(|g| g.outstanding.stale_overwrites)
     }
 
     /// Largest append offset any scratch write file currently holds.
     pub fn max_scratch_offset(&self) -> u64 {
-        self.generators
+        self.fleet
+            .streams
             .iter()
             .flat_map(|g| g.write_files.iter().map(|f| f.offset))
             .max()
@@ -1620,33 +1463,11 @@ impl SfsSystem {
 
     /// How many scratch-file rotations have happened across all streams.
     pub fn scratch_rotations(&self) -> u64 {
-        self.generators
+        self.fleet
+            .streams
             .iter()
             .flat_map(|g| g.write_files.iter().map(|f| f.generation as u64))
             .sum()
-    }
-
-    /// Number of events processed by the most recent [`SfsSystem::run`].
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
-
-    /// Total events ever scheduled.
-    pub fn scheduled_total(&self) -> u64 {
-        self.queue.scheduled_total()
-    }
-
-    /// Events scheduled into the past and clamped.  Always zero in a healthy
-    /// model; sweeps assert it per cell the same way they assert
-    /// `evicted_in_progress`.
-    pub fn clamped_past(&self) -> u64 {
-        self.queue.clamped_past()
-    }
-
-    /// Scheduler-health counters of the pending-event set (the calendar
-    /// queue's geometry).
-    pub fn sched_stats(&self) -> CalStats {
-        self.queue.sched_stats()
     }
 }
 
@@ -1773,6 +1594,8 @@ impl SfsSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testbed::Ev;
+    use wg_simcore::FaultKind;
 
     /// Pin the driver event's footprint.  Every schedule moves one `Ev` by
     /// value into the calendar queue and every pop moves it back out, so a
@@ -1782,9 +1605,9 @@ mod tests {
     #[test]
     fn driver_event_stays_within_its_pinned_footprint() {
         assert!(
-            std::mem::size_of::<Ev>() <= 112,
+            std::mem::size_of::<Ev<SfsEv>>() <= 112,
             "Ev grew to {} bytes; box the large variant",
-            std::mem::size_of::<Ev>()
+            std::mem::size_of::<Ev<SfsEv>>()
         );
     }
 

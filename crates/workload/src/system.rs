@@ -1,13 +1,18 @@
 //! The single-client file-copy system (Tables 1–6, Figure 1).
 
-use wg_client::{ClientAction, ClientConfig, ClientInput, FileWriterClient};
-use wg_net::medium::Direction;
-use wg_net::{Medium, MediumParams, TransmitOutcome};
-use wg_nfsproto::StableHow;
-use wg_server::{NfsServer, ServerAction, ServerConfig, ServerInput, StabilityMode, WritePolicy};
-use wg_simcore::{CalStats, Duration, EventQueue, FaultKind, FaultPlan, SimTime, Trace};
+use std::collections::VecDeque;
 
+use wg_client::{ClientConfig, ClientInput, FileWriterClient};
+use wg_net::MediumParams;
+use wg_server::{NfsServer, ServerConfig, StabilityMode, WritePolicy};
+use wg_simcore::{Duration, FaultPlan, SimTime, Trace};
+
+use crate::multi::{event_budget, Writers};
 use crate::results::FileCopyResult;
+use crate::testbed::{
+    create_file, server_config, server_knob_builders, stable_how, testbed_accessors, ClientLans,
+    Testbed,
+};
 
 /// Which network the experiment runs over.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -112,11 +117,7 @@ impl ExperimentConfig {
         self
     }
 
-    /// Use a stripe set of `n` disks.
-    pub fn with_spindles(mut self, n: usize) -> Self {
-        self.spindles = n;
-        self
-    }
+    server_knob_builders!();
 
     /// Use a smaller file (keeps unit tests fast).
     pub fn with_file_size(mut self, bytes: u64) -> Self {
@@ -127,24 +128,6 @@ impl ExperimentConfig {
     /// Record a server event trace.
     pub fn with_trace(mut self, on: bool) -> Self {
         self.trace = on;
-        self
-    }
-
-    /// Shard the server's request path `n` ways.
-    pub fn with_shards(mut self, n: usize) -> Self {
-        self.shards = n;
-        self
-    }
-
-    /// Give the server `n` CPU cores.
-    pub fn with_cores(mut self, n: usize) -> Self {
-        self.cores = n;
-        self
-    }
-
-    /// Enable pipelined storage-stack execution on the server.
-    pub fn with_io_overlap(mut self, on: bool) -> Self {
-        self.io_overlap = on;
         self
     }
 
@@ -160,47 +143,14 @@ impl ExperimentConfig {
         self.client_retry = Some((initial_timeout, max_retransmits));
         self
     }
-
-    /// Arm the server's bounded unified buffer cache with `pages` pages
-    /// (`0` disarms it and restores the paper's unbounded pool).
-    pub fn with_unified_cache(mut self, pages: u64) -> Self {
-        self.cache_pages = pages;
-        self
-    }
-
-    /// Set the dirty-page throttle fraction of the unified cache.
-    pub fn with_dirty_ratio(mut self, ratio: f64) -> Self {
-        self.dirty_ratio = ratio;
-        self
-    }
-
-    /// Select the write-stability regime of the cell.
-    pub fn with_stability(mut self, mode: StabilityMode) -> Self {
-        self.stability = mode;
-        self
-    }
 }
 
-/// Events flowing through the combined system.
-enum Ev {
-    Client(ClientInput),
-    Server(ServerInput),
-    /// An injected fault fires (scheduled only when the plan is non-empty).
-    Fault(FaultKind),
-    /// The NVRAM battery comes back after a `BatteryFailure`.
-    BatteryRepair,
-}
-
-/// The assembled single-client system.
+/// The assembled single-client system: the writer population with one
+/// client copying one file.
 pub struct FileCopySystem {
     config: ExperimentConfig,
-    client: FileWriterClient,
-    server: NfsServer,
-    medium: Medium,
-    queue: EventQueue<Ev>,
-    completed_at: Option<SimTime>,
-    started_at: SimTime,
-    events_processed: u64,
+    bed: Testbed<ClientInput>,
+    writers: Writers<ClientInput>,
 }
 
 impl FileCopySystem {
@@ -218,22 +168,7 @@ impl FileCopySystem {
         config: ExperimentConfig,
         customize: impl FnOnce(&mut ServerConfig),
     ) -> Self {
-        let medium_params = config.network.params();
-        let mut server_config = ServerConfig {
-            policy: config.policy,
-            nfsds: config.nfsds,
-            ..ServerConfig::standard()
-        };
-        server_config.storage.prestoserve = config.prestoserve;
-        server_config.storage.spindles = config.spindles;
-        server_config.procrastination = medium_params.procrastination;
-        server_config.shards = config.shards;
-        server_config.cores = config.cores;
-        server_config.io_overlap = config.io_overlap;
-        server_config = server_config
-            .with_unified_cache(config.cache_pages)
-            .with_dirty_ratio(config.dirty_ratio)
-            .with_stability(config.stability);
+        let mut server_config = server_config!(config);
         customize(&mut server_config);
         let mut server = NfsServer::new(server_config);
         if config.trace {
@@ -241,208 +176,49 @@ impl FileCopySystem {
         }
         // The target file is created outside the measured window (the paper
         // measures the data transfer of an established copy).
-        let root = server.fs().root();
-        let ino = server
-            .fs_mut()
-            .create(root, "copy-target", 0o644, 0)
-            .expect("fresh filesystem");
-        let handle = server.handle_for_ino(ino).expect("live inode");
+        let handle = create_file(&mut server, "copy-target");
 
         let mut client_config = ClientConfig {
             biods: config.biods,
             file_size: config.file_size,
-            stability: match config.stability {
-                StabilityMode::Stable => StableHow::FileSync,
-                StabilityMode::Unstable => StableHow::Unstable,
-            },
+            stability: stable_how(config.stability),
             ..ClientConfig::default()
         };
         if let Some((initial_timeout, max_retransmits)) = config.client_retry {
             client_config.initial_timeout = initial_timeout;
             client_config.max_retransmits = max_retransmits;
         }
-        let client = FileWriterClient::new(client_config, handle);
+        let mut writers = Writers::new(0);
+        writers.push(client_config, handle, VecDeque::new());
+        let lans = ClientLans::new(&config.network.params(), 1, false, None);
         FileCopySystem {
-            medium: Medium::new(medium_params),
-            queue: EventQueue::new(),
-            completed_at: None,
-            started_at: SimTime::ZERO,
-            events_processed: 0,
-            client,
-            server,
+            bed: Testbed::new(server, lans, config.fault_plan.clone()),
+            writers,
             config,
         }
     }
 
-    /// Number of events processed by the most recent [`FileCopySystem::run`].
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
-
-    /// Total events ever scheduled.
-    pub fn scheduled_total(&self) -> u64 {
-        self.queue.scheduled_total()
-    }
-
-    /// Events scheduled into the simulated past (must stay zero; see
-    /// [`EventQueue::clamped_past`]).
-    pub fn clamped_past(&self) -> u64 {
-        self.queue.clamped_past()
-    }
-
-    /// Scheduler-health counters of the pending-event set (the calendar
-    /// queue's geometry).
-    pub fn sched_stats(&self) -> CalStats {
-        self.queue.sched_stats()
-    }
-
-    /// Upper bound on events one copy may process before the run is declared
-    /// runaway.  A 10 MB copy needs ~13 k events, so this is four orders of
-    /// magnitude of headroom; hitting it means the system is re-scheduling
-    /// work without making progress (e.g. a retransmission storm that never
-    /// converges), not that the experiment is merely large.
-    const MAX_EVENTS: u64 = 50_000_000;
+    testbed_accessors!();
 
     /// Run the copy to completion and return the table-cell result.
     ///
     /// The loop drains the queue fully: after the client completes, the only
     /// remaining events are bounded housekeeping wake-ups (nfsd-free timers,
     /// gather continuations), and letting them run keeps the server's final
-    /// statistics consistent.  Action buffers are allocated once and reused
-    /// for every event, so the steady-state loop performs no per-event
-    /// allocation.
+    /// statistics consistent.
     pub fn run(&mut self) -> FileCopyResult {
-        self.events_processed = 0;
-        self.queue
-            .schedule_at(SimTime::ZERO, Ev::Client(ClientInput::Start));
-        // An empty plan schedules nothing: the queue contents — and therefore
-        // the whole run — are identical to a build without the fault layer.
-        if !self.config.fault_plan.is_empty() {
-            let events: Vec<_> = self.config.fault_plan.events().to_vec();
-            for event in events {
-                self.queue.schedule_at(event.at, Ev::Fault(event.kind));
-            }
-        }
-        let mut client_actions: Vec<ClientAction> = Vec::new();
-        let mut server_actions: Vec<ServerAction> = Vec::new();
-        while let Some((t, ev)) = self.queue.pop() {
-            self.events_processed += 1;
-            if self.events_processed >= Self::MAX_EVENTS {
-                panic!(
-                    "runaway simulation: {} events without draining \
-                     (simulated time {t:?}, client done: {}, {} events still queued, \
-                     {} scheduled in total)",
-                    self.events_processed,
-                    self.completed_at.is_some(),
-                    self.queue.len(),
-                    self.queue.scheduled_total(),
-                );
-            }
-            match ev {
-                Ev::Client(input) => {
-                    self.client.handle_into(t, input, &mut client_actions);
-                    self.apply_client_actions(&mut client_actions);
-                }
-                Ev::Server(input) => {
-                    self.server.handle_into(t, input, &mut server_actions);
-                    self.apply_server_actions(&mut server_actions);
-                }
-                Ev::Fault(kind) => self.apply_fault(t, kind),
-                Ev::BatteryRepair => {
-                    self.server.set_battery(true, t);
-                }
-            }
-        }
+        self.bed
+            .run(&mut self.writers, event_budget(self.config.file_size));
         self.result()
     }
 
-    fn apply_fault(&mut self, t: SimTime, kind: FaultKind) {
-        match kind {
-            FaultKind::ServerCrash => {
-                self.server.crash(t);
-            }
-            FaultKind::BatteryFailure { repair_after } => {
-                self.server.set_battery(false, t);
-                self.queue.schedule_at(t + repair_after, Ev::BatteryRepair);
-            }
-            FaultKind::DiskDegrade {
-                duration,
-                stall,
-                retries,
-            } => {
-                self.server.inject_disk_fault(t, duration, stall, retries);
-            }
-            // The single-client system has one network segment; a burst aimed
-            // at a specific segment index still lands on it.
-            FaultKind::LossBurst {
-                duration,
-                probability,
-                segment: _,
-            } => {
-                self.medium.inject_loss_window(t, t + duration, probability);
-            }
-        }
-    }
-
-    fn apply_client_actions(&mut self, actions: &mut Vec<ClientAction>) {
-        for action in actions.drain(..) {
-            match action {
-                ClientAction::Send { at, call } => {
-                    let size = call.wire_size();
-                    let fragments = self.medium.params().fragments_for(size);
-                    match self.medium.transmit(at, size, Direction::ToServer) {
-                        TransmitOutcome::Delivered { arrives_at } => {
-                            self.queue.schedule_at(
-                                arrives_at,
-                                Ev::Server(ServerInput::Datagram {
-                                    client: 0,
-                                    call,
-                                    wire_size: size,
-                                    fragments,
-                                }),
-                            );
-                        }
-                        TransmitOutcome::Lost => {}
-                    }
-                }
-                ClientAction::Wakeup { at, token } => {
-                    self.queue
-                        .schedule_at(at, Ev::Client(ClientInput::Wakeup { token }));
-                }
-                ClientAction::Completed { at } => {
-                    self.completed_at = Some(at);
-                }
-            }
-        }
-    }
-
-    fn apply_server_actions(&mut self, actions: &mut Vec<ServerAction>) {
-        for action in actions.drain(..) {
-            match action {
-                ServerAction::Wakeup { at, token } => {
-                    self.queue
-                        .schedule_at(at, Ev::Server(ServerInput::Wakeup { token }));
-                }
-                ServerAction::Reply { at, reply, .. } => {
-                    let size = reply.wire_size();
-                    match self.medium.transmit(at, size, Direction::ToClient) {
-                        TransmitOutcome::Delivered { arrives_at } => {
-                            self.queue
-                                .schedule_at(arrives_at, Ev::Client(ClientInput::Reply(reply)));
-                        }
-                        TransmitOutcome::Lost => {}
-                    }
-                }
-            }
-        }
-    }
-
     fn result(&self) -> FileCopyResult {
-        let gave_up = self.client.stats().gave_up;
+        let stats = self.client().stats();
         // A copy only counts as completed when every byte was acknowledged:
         // a client that abandoned writes after exhausting its retransmits
         // reports a counted failure, never a silent success.
-        let completed = self.completed_at.is_some() && gave_up == 0;
+        let completed_at = self.writers.slots[0].completed_at;
+        let completed = completed_at.is_some() && stats.gave_up == 0;
         // A drained event queue with the client still unfinished means the
         // simulation lost work (a dropped wake-up, an orphaned write): surface
         // it immediately in debug builds, and flag it in the result so sweeps
@@ -452,28 +228,27 @@ impl FileCopySystem {
         // runs.
         debug_assert!(
             completed || !self.config.fault_plan.is_empty(),
-            "file copy did not complete: {} bytes acked of {}, {gave_up} writes given up",
-            self.client.stats().bytes_acked,
-            self.config.file_size
+            "file copy did not complete: {} bytes acked of {}, {} writes given up",
+            stats.bytes_acked,
+            self.config.file_size,
+            stats.gave_up
         );
-        let completed_at = self.completed_at.unwrap_or_else(|| self.queue.now());
-        let elapsed = completed_at.since(self.started_at);
-        let elapsed = if elapsed.is_zero() {
-            Duration::from_nanos(1)
-        } else {
-            elapsed
-        };
-        let device = self.server.device_stats();
+        let elapsed = completed_at
+            .unwrap_or_else(|| self.bed.queue.now())
+            .since(SimTime::ZERO);
+        let elapsed = Duration::from_nanos(elapsed.as_nanos().max(1));
+        let server = &self.bed.server;
+        let device = server.device_stats();
         FileCopyResult {
             biods: self.config.biods,
-            client_write_kb_per_sec: self.client.stats().write_kb_per_sec(),
-            server_cpu_percent: self.server.cpu_utilization_percent(elapsed),
+            client_write_kb_per_sec: stats.write_kb_per_sec(),
+            server_cpu_percent: server.cpu_utilization_percent(elapsed),
             disk_kb_per_sec: device.kb_per_sec(elapsed),
             disk_trans_per_sec: device.transfers_per_sec(elapsed),
             elapsed_secs: elapsed.as_secs_f64(),
-            mean_batch_size: self.server.stats().mean_batch_size(),
-            retransmissions: self.client.stats().retransmissions,
-            gave_up,
+            mean_batch_size: server.stats().mean_batch_size(),
+            retransmissions: stats.retransmissions,
+            gave_up: stats.gave_up,
             completed,
         }
     }
@@ -485,12 +260,13 @@ impl FileCopySystem {
     /// when an acknowledged write was lost (the
     /// [`wg_server::WritePolicy::DangerousAsync`] failure mode).
     pub fn lost_acked_bytes_on_disk(&self) -> u64 {
-        let mut fs = self.server.fs().clone();
+        let mut fs = self.bed.server.fs().clone();
         let root = fs.root();
         let ino = fs.lookup(root, "copy-target").expect("target file exists");
+        let client = self.client();
         let mut lost = 0u64;
-        for &(offset, len) in self.client.acked_writes() {
-            let fill = self.client.fill_byte_for(offset);
+        for &(offset, len) in client.acked_writes() {
+            let fill = client.fill_byte_for(offset);
             let data = fs.read(ino, offset, len).expect("acked range readable");
             lost += data.to_vec().iter().filter(|&&b| b != fill).count() as u64;
         }
@@ -499,17 +275,12 @@ impl FileCopySystem {
 
     /// The server's event trace (enable with [`ExperimentConfig::with_trace`]).
     pub fn trace(&self) -> &Trace {
-        self.server.trace()
-    }
-
-    /// The server, for post-run inspection (data integrity checks, stats).
-    pub fn server(&self) -> &NfsServer {
-        &self.server
+        self.bed.server.trace()
     }
 
     /// The client, for post-run inspection.
     pub fn client(&self) -> &FileWriterClient {
-        &self.client
+        &self.writers.slots[0].writer
     }
 
     /// The experiment configuration.
@@ -526,6 +297,8 @@ pub fn run_cell(config: ExperimentConfig) -> FileCopyResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testbed::Ev;
+    use wg_simcore::FaultKind;
 
     /// Pin the driver event's footprint.  Every schedule moves one `Ev` by
     /// value into the calendar queue and every pop moves it back out, so a
@@ -535,9 +308,9 @@ mod tests {
     #[test]
     fn driver_event_stays_within_its_pinned_footprint() {
         assert!(
-            std::mem::size_of::<Ev>() <= 104,
+            std::mem::size_of::<Ev<ClientInput>>() <= 104,
             "Ev grew to {} bytes; box the large variant",
-            std::mem::size_of::<Ev>()
+            std::mem::size_of::<Ev<ClientInput>>()
         );
     }
 
