@@ -13,6 +13,7 @@
 //! cargo run --release -p wg-bench --bin ablations -- --file-mb 2
 //! ```
 
+use wg_bench::cli;
 use wg_server::{ReplyOrder, ServerConfig, WritePolicy};
 use wg_simcore::Duration;
 use wg_workload::{ExperimentConfig, FileCopyResult, FileCopySystem, NetworkKind};
@@ -24,15 +25,23 @@ fn run_customized(
     FileCopySystem::new_customized(config, customize).run()
 }
 
+const USAGE: &str = "\
+usage: ablations [--file-mb N]
+       ablations --help
+
+  --file-mb N   size of each copy in MB (default 4)";
+
 fn main() {
-    let mut file_mb: u64 = 4;
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--file-mb" => file_mb = iter.next().and_then(|v| v.parse().ok()).unwrap_or(4),
-            other => panic!("unknown argument {other}; use --file-mb N"),
+    let file_mb: u64 = cli::parse_or_exit("ablations", USAGE, |args| {
+        let mut file_mb = 4;
+        while let Some(flag) = args.next_flag() {
+            match flag.as_str() {
+                "--file-mb" => file_mb = args.number(&flag)?,
+                other => return Err(cli::unknown(other)),
+            }
         }
-    }
+        Ok(file_mb)
+    });
     let file = file_mb * 1024 * 1024;
     let biods = 7;
 

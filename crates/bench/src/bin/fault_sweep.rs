@@ -25,6 +25,7 @@
 //! cargo run --release -p wg-bench --bin fault_sweep -- --out other.json
 //! ```
 
+use wg_bench::cli;
 use wg_bench::report::{stamp_cell, upsert_object};
 use wg_server::{StabilityMode, WritePolicy};
 use wg_simcore::{Duration, FaultKind, FaultPlan, SimTime};
@@ -325,37 +326,30 @@ fn run_copy_cell(label: &str, policy: WritePolicy, presto: bool, file_mb: u64) -
     json::object(&fields)
 }
 
+const USAGE: &str = "\
+usage: fault_sweep [--smoke] [--out PATH] [--secs N] [--load N]
+       fault_sweep --help
+
+  --smoke     small grid: one crash interval, two loss rates (default 6 s, 300 ops/s)
+  --out PATH  report to merge into (default BENCH_writepath.json)
+  --secs N    simulated seconds per cell (default 20)
+  --load N    offered load in ops/s (default 800)";
+
 fn main() {
-    let mut out_path = "BENCH_writepath.json".to_string();
-    let mut smoke = false;
-    let mut secs: Option<u64> = None;
-    let mut load: Option<f64> = None;
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--out" => out_path = iter.next().expect("--out needs a path"),
-            "--smoke" => smoke = true,
-            "--secs" => {
-                secs = Some(
-                    iter.next()
-                        .expect("--secs needs a count")
-                        .parse()
-                        .expect("--secs needs a number"),
-                );
-            }
-            "--load" => {
-                load = Some(
-                    iter.next()
-                        .expect("--load needs a value")
-                        .parse()
-                        .expect("--load needs a number"),
-                );
-            }
-            other => {
-                panic!("unknown argument {other}; use --smoke, --out PATH, --secs N, --load N")
+    let (out_path, smoke, secs, load) = cli::parse_or_exit("fault_sweep", USAGE, |args| {
+        let mut out_path = "BENCH_writepath.json".to_string();
+        let (mut smoke, mut secs, mut load) = (false, None, None);
+        while let Some(flag) = args.next_flag() {
+            match flag.as_str() {
+                "--out" => out_path = args.value(&flag, "a path")?,
+                "--smoke" => smoke = true,
+                "--secs" => secs = Some(args.number::<u64>(&flag)?),
+                "--load" => load = Some(args.number::<f64>(&flag)?),
+                other => return Err(cli::unknown(other)),
             }
         }
-    }
+        Ok((out_path, smoke, secs, load))
+    });
     let secs = secs.unwrap_or(if smoke { 6 } else { 20 });
     let load = load.unwrap_or(if smoke { 300.0 } else { 800.0 });
     let (crash_intervals, loss_rates): (&[f64], &[f64]) = if smoke {

@@ -6,19 +6,28 @@
 //! cargo run --release -p wg-bench --bin figure1 -- --kb 256   # shorter trace
 //! ```
 
+use wg_bench::cli;
 use wg_server::WritePolicy;
 use wg_simcore::TraceKind;
 use wg_workload::{ExperimentConfig, FileCopySystem, NetworkKind};
 
+const USAGE: &str = "\
+usage: figure1 [--kb N]
+       figure1 --help
+
+  --kb N   how much of the copy to trace, in KB (default 512)";
+
 fn main() {
-    let mut kb: u64 = 512;
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--kb" => kb = iter.next().and_then(|v| v.parse().ok()).unwrap_or(512),
-            other => panic!("unknown argument {other}; use --kb N"),
+    let kb: u64 = cli::parse_or_exit("figure1", USAGE, |args| {
+        let mut kb = 512;
+        while let Some(flag) = args.next_flag() {
+            match flag.as_str() {
+                "--kb" => kb = args.number(&flag)?,
+                other => return Err(cli::unknown(other)),
+            }
         }
-    }
+        Ok(kb)
+    });
     println!("Figure 1. Write Gathering NFS Server Comparison");
     println!("(sequential file writer, 4 biods, FDDI, RZ26 disk; first {kb} KB of the copy)\n");
     for (name, policy) in [

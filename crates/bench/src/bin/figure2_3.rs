@@ -8,20 +8,31 @@
 //! cargo run --release -p wg-bench --bin figure2_3 -- --secs 30    # longer runs
 //! ```
 
-use wg_bench::{render_figure, run_figure};
+use wg_bench::{cli, render_figure, run_figure};
 use wg_server::WritePolicy;
 
+const USAGE: &str = "\
+usage: figure2_3 [--figure 2|3] [--secs N]
+       figure2_3 --help
+
+  --figure 2|3   regenerate only one figure (default both)
+  --secs N       simulated seconds per load point (default 15)";
+
 fn main() {
-    let mut figure: Option<u8> = None;
-    let mut secs: u64 = 15;
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--figure" => figure = iter.next().and_then(|v| v.parse().ok()),
-            "--secs" => secs = iter.next().and_then(|v| v.parse().ok()).unwrap_or(15),
-            other => panic!("unknown argument {other}; use --figure 2|3, --secs N"),
+    let (figure, secs) = cli::parse_or_exit("figure2_3", USAGE, |args| {
+        let (mut figure, mut secs) = (None, 15);
+        while let Some(flag) = args.next_flag() {
+            match flag.as_str() {
+                "--figure" => match args.number(&flag)? {
+                    f @ (2 | 3) => figure = Some(f),
+                    f => return Err(format!("--figure needs 2 or 3, not {f}")),
+                },
+                "--secs" => secs = args.number(&flag)?,
+                other => return Err(cli::unknown(other)),
+            }
         }
-    }
+        Ok((figure, secs))
+    });
     let figures: Vec<u8> = match figure {
         Some(f) => vec![f],
         None => vec![2, 3],

@@ -26,6 +26,7 @@
 
 use std::time::Instant;
 
+use wg_bench::cli::{self, Args};
 use wg_bench::report::{extract_object, upsert_object};
 use wg_disk::SpindleStats;
 use wg_nfsproto::payload::materialize_count;
@@ -238,67 +239,70 @@ fn run_cell(clients: usize, mb_per_client: u64, axes: &SweepAxes) -> ScaleCell {
     cell
 }
 
-fn parse_list(s: &str) -> Vec<u64> {
-    s.split(',')
-        .map(|v| v.trim().parse().expect("comma-separated numbers"))
-        .collect()
+const USAGE: &str = "\
+usage: scale_sweep [--smoke] [--out PATH] [--clients A,B,C] [--mb-per-client A,B,C]
+                   [--shards N] [--cores N] [--spindles N] [--overlap] [--lans]
+       scale_sweep --help
+
+  --smoke                  one small cell: 2 clients x 1 MB
+  --out PATH               report to merge into (default BENCH_writepath.json)
+  --clients A,B,C          client counts to sweep (default 1,2,4)
+  --mb-per-client A,B,C    per-client budgets in MB to sweep (default 64,256)
+  --shards N               server request-path shards (default 1)
+  --cores N                server CPU cores (default 1)
+  --spindles N             stripe-set disks (default 1)
+  --overlap                pipelined storage stack, raced against its serial twin
+  --lans                   one LAN segment per client";
+
+/// Parsed command line.
+struct Options {
+    out_path: String,
+    clients: Vec<u64>,
+    mb_per_client: Vec<u64>,
+    axes: SweepAxes,
+}
+
+/// Read the flags.
+fn parse_args(args: &mut Args) -> Result<Options, String> {
+    let mut opts = Options {
+        out_path: "BENCH_writepath.json".to_string(),
+        clients: vec![1, 2, 4],
+        mb_per_client: vec![64, 256],
+        axes: SweepAxes {
+            shards: 1,
+            cores: 1,
+            spindles: 1,
+            overlap: false,
+            lans: false,
+        },
+    };
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--out" => opts.out_path = args.value(&flag, "a path")?,
+            "--smoke" => {
+                opts.clients = vec![2];
+                opts.mb_per_client = vec![1];
+            }
+            "--clients" => opts.clients = args.numbers(&flag)?,
+            "--mb-per-client" => opts.mb_per_client = args.numbers(&flag)?,
+            "--shards" => opts.axes.shards = args.number(&flag)?,
+            "--cores" => opts.axes.cores = args.number(&flag)?,
+            "--spindles" => opts.axes.spindles = args.number(&flag)?,
+            "--overlap" => opts.axes.overlap = true,
+            "--lans" => opts.axes.lans = true,
+            other => return Err(cli::unknown(other)),
+        }
+    }
+    Ok(opts)
 }
 
 fn main() {
-    let mut out_path = "BENCH_writepath.json".to_string();
-    let mut clients: Vec<u64> = vec![1, 2, 4];
-    let mut mb_per_client: Vec<u64> = vec![64, 256];
-    let mut axes = SweepAxes {
-        shards: 1,
-        cores: 1,
-        spindles: 1,
-        overlap: false,
-        lans: false,
-    };
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--out" => out_path = iter.next().expect("--out needs a path"),
-            "--smoke" => {
-                clients = vec![2];
-                mb_per_client = vec![1];
-            }
-            "--clients" => {
-                clients = parse_list(&iter.next().expect("--clients needs a list"));
-            }
-            "--mb-per-client" => {
-                mb_per_client = parse_list(&iter.next().expect("--mb-per-client needs a list"));
-            }
-            "--shards" => {
-                axes.shards = iter
-                    .next()
-                    .expect("--shards needs a count")
-                    .parse()
-                    .expect("--shards needs a number");
-            }
-            "--cores" => {
-                axes.cores = iter
-                    .next()
-                    .expect("--cores needs a count")
-                    .parse()
-                    .expect("--cores needs a number");
-            }
-            "--spindles" => {
-                axes.spindles = iter
-                    .next()
-                    .expect("--spindles needs a count")
-                    .parse()
-                    .expect("--spindles needs a number");
-            }
-            "--overlap" => axes.overlap = true,
-            "--lans" => axes.lans = true,
-            other => panic!(
-                "unknown argument {other}; use --smoke, --out PATH, \
-                 --clients A,B,C, --mb-per-client A,B,C, --shards N, \
-                 --cores N, --spindles N, --overlap, --lans"
-            ),
-        }
-    }
+    let Options {
+        out_path,
+        clients,
+        mb_per_client,
+        axes,
+    } = cli::parse_or_exit("scale_sweep", USAGE, parse_args);
 
     let mut cells = Vec::new();
     for &c in &clients {

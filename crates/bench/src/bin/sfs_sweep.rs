@@ -46,6 +46,7 @@
 
 use std::time::Instant;
 
+use wg_bench::cli::{self, Args};
 use wg_bench::report::{host_parallelism, stamp_cell, upsert_object};
 use wg_server::{StabilityMode, WritePolicy};
 use wg_workload::results::json;
@@ -664,8 +665,8 @@ struct Options {
     dirty_ratio: f64,
 }
 
-/// Parse the arguments; `Ok(None)` means `--help` was asked for.
-fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Option<Options>, String> {
+/// Read the flags.
+fn parse_args(args: &mut Args) -> Result<Options, String> {
     let scaled = SfsConfig::scaled(0.0, WritePolicy::Gathering, 4);
     let mut opts = Options {
         out_path: "BENCH_writepath.json".to_string(),
@@ -686,30 +687,18 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Option<Options>,
         cache_pages: 4096,
         dirty_ratio: 0.5,
     };
-    fn number<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, String> {
-        value
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| format!("{flag} needs a number"))
-    }
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--help" => return Ok(None),
-            "--out" => opts.out_path = args.next().ok_or("--out needs a path")?,
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--out" => opts.out_path = args.value(&flag, "a path")?,
             "--smoke" => opts.smoke = true,
-            "--clients" => opts.clients = number("--clients", args.next())?,
-            "--shards" => opts.shards = number("--shards", args.next())?,
-            "--cores" => opts.cores = number("--cores", args.next())?,
-            "--spindles" => opts.spindles = number("--spindles", args.next())?,
-            "--inode-groups" => opts.inode_groups = number("--inode-groups", args.next())?,
-            "--threads" => opts.threads = number("--threads", args.next())?,
-            "--secs" => opts.secs = Some(number("--secs", args.next())?),
-            "--loads" => {
-                let list = args.next().unwrap_or_default();
-                let loads: Result<Vec<f64>, _> =
-                    list.split(',').map(|v| v.trim().parse()).collect();
-                opts.loads =
-                    Some(loads.map_err(|_| "--loads needs comma-separated numbers".to_string())?);
-            }
+            "--clients" => opts.clients = args.number(&flag)?,
+            "--shards" => opts.shards = args.number(&flag)?,
+            "--cores" => opts.cores = args.number(&flag)?,
+            "--spindles" => opts.spindles = args.number(&flag)?,
+            "--inode-groups" => opts.inode_groups = args.number(&flag)?,
+            "--threads" => opts.threads = args.number(&flag)?,
+            "--secs" => opts.secs = Some(args.number(&flag)?),
+            "--loads" => opts.loads = Some(args.numbers(&flag)?),
             // The scaled topology is the default; the bare flags exist so CI
             // invocations can spell the configuration out, and the --no-*
             // forms give ablations a way to switch pieces off.
@@ -719,19 +708,19 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Option<Options>,
             "--no-lans" => opts.lans = false,
             "--read-caching" => opts.read_caching = true,
             "--no-read-caching" => opts.read_caching = false,
-            "--stability" => match args.next() {
-                Some(mode) if matches!(mode.as_str(), "stable" | "unstable" | "all") => {
-                    opts.stability = mode;
+            "--stability" => {
+                opts.stability = args.value(&flag, "stable|unstable|all")?;
+                if !matches!(opts.stability.as_str(), "stable" | "unstable" | "all") {
+                    return Err("--stability needs stable|unstable|all".to_string());
                 }
-                _ => return Err("--stability needs stable|unstable|all".to_string()),
-            },
+            }
             "--unified-cache" => opts.unified_cache = true,
-            "--cache-pages" => opts.cache_pages = number("--cache-pages", args.next())?,
-            "--dirty-ratio" => opts.dirty_ratio = number("--dirty-ratio", args.next())?,
-            other => return Err(format!("unknown argument {other}")),
+            "--cache-pages" => opts.cache_pages = args.number(&flag)?,
+            "--dirty-ratio" => opts.dirty_ratio = args.number(&flag)?,
+            other => return Err(cli::unknown(other)),
         }
     }
-    Ok(Some(opts))
+    Ok(opts)
 }
 
 fn main() {
@@ -753,17 +742,7 @@ fn main() {
         unified_cache,
         cache_pages,
         dirty_ratio,
-    } = match parse_args(std::env::args().skip(1)) {
-        Ok(Some(opts)) => opts,
-        Ok(None) => {
-            println!("{USAGE}");
-            return;
-        }
-        Err(msg) => {
-            eprintln!("sfs_sweep: {msg}\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
+    } = cli::parse_or_exit("sfs_sweep", USAGE, parse_args);
 
     // Smoke shortens the sweep, but an explicit --secs/--loads always wins
     // regardless of where it sits on the command line.

@@ -28,6 +28,7 @@
 //! cargo run --release -p wg-bench --bin state_sweep -- --out other.json
 //! ```
 
+use wg_bench::cli;
 use wg_bench::report::{stamp_cell, upsert_object};
 use wg_server::WritePolicy;
 use wg_simcore::{Duration, FaultPlan, SimTime};
@@ -402,47 +403,33 @@ fn run_storm_cell(label: &str, clients: usize, load: f64, secs: u64) -> String {
     json::object(&fields)
 }
 
+const USAGE: &str = "\
+usage: state_sweep [--smoke] [--out PATH] [--secs N] [--load N] [--storm-clients N]
+       state_sweep --help
+
+  --smoke              small grid (default 4 s, 150 ops/s, 16 grid clients)
+  --out PATH           report to merge into (default BENCH_writepath.json)
+  --secs N             simulated seconds per grid cell (default 10)
+  --load N             offered load in ops/s (default 400)
+  --storm-clients N    clients of the lease-storm headline cell (default 10000)";
+
 fn main() {
-    let mut out_path = "BENCH_writepath.json".to_string();
-    let mut smoke = false;
-    let mut secs: Option<u64> = None;
-    let mut load: Option<f64> = None;
-    let mut storm_clients: Option<usize> = None;
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--out" => out_path = iter.next().expect("--out needs a path"),
-            "--smoke" => smoke = true,
-            "--secs" => {
-                secs = Some(
-                    iter.next()
-                        .expect("--secs needs a count")
-                        .parse()
-                        .expect("--secs needs a number"),
-                );
+    let (out_path, smoke, secs, load, storm_clients) =
+        cli::parse_or_exit("state_sweep", USAGE, |args| {
+            let mut out_path = "BENCH_writepath.json".to_string();
+            let (mut smoke, mut secs, mut load, mut storm_clients) = (false, None, None, None);
+            while let Some(flag) = args.next_flag() {
+                match flag.as_str() {
+                    "--out" => out_path = args.value(&flag, "a path")?,
+                    "--smoke" => smoke = true,
+                    "--secs" => secs = Some(args.number::<u64>(&flag)?),
+                    "--load" => load = Some(args.number::<f64>(&flag)?),
+                    "--storm-clients" => storm_clients = Some(args.number::<usize>(&flag)?),
+                    other => return Err(cli::unknown(other)),
+                }
             }
-            "--load" => {
-                load = Some(
-                    iter.next()
-                        .expect("--load needs a value")
-                        .parse()
-                        .expect("--load needs a number"),
-                );
-            }
-            "--storm-clients" => {
-                storm_clients = Some(
-                    iter.next()
-                        .expect("--storm-clients needs a count")
-                        .parse()
-                        .expect("--storm-clients needs a number"),
-                );
-            }
-            other => panic!(
-                "unknown argument {other}; use --smoke, --out PATH, --secs N, \
-                 --load N, --storm-clients N"
-            ),
-        }
-    }
+            Ok((out_path, smoke, secs, load, storm_clients))
+        });
     let secs = secs.unwrap_or(if smoke { 4 } else { 10 });
     let load = load.unwrap_or(if smoke { 150.0 } else { 400.0 });
     let grid_clients = if smoke { 16 } else { 64 };

@@ -7,49 +7,53 @@
 //! cargo run --release -p wg-bench --bin tables -- --json      # machine readable
 //! ```
 
+use wg_bench::cli::{self, Args};
 use wg_bench::{run_table, table_spec, TABLES};
 
-struct Args {
+const USAGE: &str = "\
+usage: tables [--table N] [--file-mb N] [--json]
+       tables --help
+
+  --table N     regenerate only table N (1-6; default all six)
+  --file-mb N   size of the copy in MB (default 10)
+  --json        one JSON object per table instead of the rendered text";
+
+/// Parsed command line.
+struct Options {
     table: Option<u8>,
     file_mb: u64,
     json: bool,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
+/// Read the flags.
+fn parse_args(args: &mut Args) -> Result<Options, String> {
+    let mut opts = Options {
         table: None,
         file_mb: 10,
         json: false,
     };
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
             "--table" => {
-                args.table = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .or_else(|| panic!("--table needs a number 1-6"));
+                let n = args.number(&flag)?;
+                if table_spec(n).is_none() {
+                    return Err(format!("--table needs a number 1-6, not {n}"));
+                }
+                opts.table = Some(n);
             }
-            "--file-mb" => {
-                args.file_mb = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| panic!("--file-mb needs a number"));
-            }
-            "--json" => args.json = true,
-            other => panic!("unknown argument {other}; use --table N, --file-mb M, --json"),
+            "--file-mb" => opts.file_mb = args.number(&flag)?,
+            "--json" => opts.json = true,
+            other => return Err(cli::unknown(other)),
         }
     }
-    args
+    Ok(opts)
 }
 
 fn main() {
-    let args = parse_args();
+    let args = cli::parse_or_exit("tables", USAGE, parse_args);
     let file_size = args.file_mb * 1024 * 1024;
     let specs: Vec<_> = match args.table {
-        Some(n) => {
-            vec![*table_spec(n).unwrap_or_else(|| panic!("the paper has tables 1-6, not {n}"))]
-        }
+        Some(n) => vec![*table_spec(n).expect("parse_args accepts only tables 1-6")],
         None => TABLES.to_vec(),
     };
     for spec in specs {

@@ -17,6 +17,7 @@
 
 use std::time::Instant;
 
+use wg_bench::cli::{self, Args};
 use wg_bench::report::{carry_unknown_keys, extract_object, stamp_cell};
 use wg_server::WritePolicy;
 use wg_simcore::CalStats;
@@ -159,30 +160,24 @@ struct Options {
     sfs_secs: u64,
 }
 
-/// Parse the arguments; `Ok(None)` means `--help` was asked for.
-fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Option<Options>, String> {
+/// Read the flags.
+fn parse_args(args: &mut Args) -> Result<Options, String> {
     let mut opts = Options {
         out_path: "BENCH_writepath.json".to_string(),
         record_baseline: false,
         file_mb: 10,
         sfs_secs: 10,
     };
-    fn number(flag: &str, value: Option<String>) -> Result<u64, String> {
-        value
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| format!("{flag} needs a number"))
-    }
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--help" => return Ok(None),
-            "--out" => opts.out_path = args.next().ok_or("--out needs a path")?,
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--out" => opts.out_path = args.value(&flag, "a path")?,
             "--record-baseline" => opts.record_baseline = true,
-            "--file-mb" => opts.file_mb = number("--file-mb", args.next())?,
-            "--sfs-secs" => opts.sfs_secs = number("--sfs-secs", args.next())?,
-            other => return Err(format!("unknown argument {other}")),
+            "--file-mb" => opts.file_mb = args.number(&flag)?,
+            "--sfs-secs" => opts.sfs_secs = args.number(&flag)?,
+            other => return Err(cli::unknown(other)),
         }
     }
-    Ok(Some(opts))
+    Ok(opts)
 }
 
 fn main() {
@@ -191,17 +186,7 @@ fn main() {
         record_baseline,
         file_mb,
         sfs_secs,
-    } = match parse_args(std::env::args().skip(1)) {
-        Ok(Some(opts)) => opts,
-        Ok(None) => {
-            println!("{USAGE}");
-            return;
-        }
-        Err(msg) => {
-            eprintln!("writepath_bench: {msg}\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
+    } = cli::parse_or_exit("writepath_bench", USAGE, parse_args);
 
     let cells = measure(file_mb, sfs_secs);
     for c in &cells {

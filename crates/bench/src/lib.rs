@@ -14,11 +14,13 @@
 //! [`TableSpec`] captures the configuration of each table;
 //! [`run_table`] executes every cell and returns rows shaped like the paper's.
 //! The binaries (`tables`, `figure1`, `figure2_3`, `ablations`) print the
-//! regenerated artefacts; the Criterion benches exercise reduced-size versions
+//! regenerated artefacts, every binary reading its flags through [`cli`]; the Criterion benches exercise reduced-size versions
 //! of the same code paths so `cargo bench` tracks their cost over time.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod cli;
 
 use wg_server::WritePolicy;
 use wg_workload::{

@@ -1,22 +1,21 @@
 //! # wg-workload — experiment orchestration and load generation
 //!
-//! This crate assembles complete client ⇄ network ⇄ server systems out of the
-//! component models and runs the experiments of the paper's evaluation:
+//! Every experiment of the paper puts one server behind one wire and changes
+//! only the client load, and this crate has the same shape: one testbed — a
+//! [`wg_server::NfsServer`] behind its LAN fan-in, one deterministic event
+//! loop and the fault plan — driven by one of two client populations:
 //!
-//! * [`system`] — the single-client 10 MB file-copy system behind Tables 1–6
-//!   and Figure 1: a [`wg_client::FileWriterClient`], a shared
-//!   [`wg_net::Medium`] (Ethernet or FDDI) and a [`wg_server::NfsServer`]
-//!   wired together through one deterministic event loop.
-//! * [`multi`] — the N-client scale-out system reproducing the paper's
-//!   "several clients" remarks: independent salted write streams sharing one
-//!   medium (or riding per-client LAN segments) into one server, with
-//!   per-client, aggregate and fairness results.
-//! * [`sfs`] — a SPEC SFS 1.0 (LADDIS)-like mixed-operation load generator
-//!   and the throughput/latency sweep behind Figures 2 and 3, scalable to N
-//!   independent generator streams over the same per-client LAN topology
-//!   and sweepable in parallel on a thread pool.
-//! * [`results`] — the result records the benchmark harness prints, shaped
-//!   like the rows of the paper's tables.
+//! * the file writers: [`system`], the single-client 10 MB copy behind
+//!   Tables 1–6 and Figure 1, and [`multi`], the N-client fan-in reproducing
+//!   the paper's "several clients" remarks (independent salted write streams
+//!   on one shared medium or per-client LAN segments, with per-client,
+//!   aggregate and fairness results);
+//! * the [`sfs`] generators: a SPEC SFS 1.0 (LADDIS)-like mixed-operation
+//!   load and the throughput/latency sweep behind Figures 2 and 3, scalable
+//!   to N independent streams and sweepable in parallel on a thread pool.
+//!
+//! [`results`] holds the result records the benchmark harness prints, shaped
+//! like the rows of the paper's tables.
 //!
 //! Everything is deterministic: the same configuration and seed produce the
 //! same numbers.  Each run is one serial event loop; a host's cores are used

@@ -729,9 +729,10 @@ impl SfsGenerator {
         &shared.files[idx]
     }
 
-    /// Produce the next call of this stream, stamping its send time into the
-    /// outstanding ring at insertion (one code path: a call dropped before
-    /// arrival still carries the time it was really sent).
+    /// Produce the next call of this stream and count it as issued, stamping
+    /// its send time into the outstanding ring at insertion (one code path: a
+    /// call dropped before arrival still carries the time it was really
+    /// sent).
     fn next_call(
         &mut self,
         now: SimTime,

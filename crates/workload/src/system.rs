@@ -1,4 +1,4 @@
-//! The single-client file-copy system (Tables 1–6, Figure 1).
+//! The paper's file copy (Tables 1–6, Figure 1): the writer population with one client.
 
 use std::collections::VecDeque;
 

@@ -623,7 +623,12 @@ fn leases_survive_crashes_with_a_clean_state_oracle() {
     let (_, reclaims_seen) = system.lock_grants();
     assert!(reclaims_seen > 0, "no client observed a reclaim grant");
     // Table invariant: no lock outlives its owner's lease.
-    assert!(system.server().held_locks() <= system.server().active_lease_clients());
+    let end = SimTime::ZERO + horizon;
+    assert_eq!(
+        system.server().unleased_locks(end),
+        0,
+        "a lock is held by a client with no live lease"
+    );
 }
 
 #[test]
@@ -663,5 +668,10 @@ fn abandoned_leases_expire_and_their_locks_are_orphaned() {
     assert_eq!(st.grace_conflicts, 0);
     assert_eq!(st.expired_lease_writes, 0);
     assert_eq!(system.server().stats().lost_acked_bytes, 0);
-    assert!(system.server().held_locks() <= system.server().active_lease_clients());
+    let end = SimTime::ZERO + system.config().duration;
+    assert_eq!(
+        system.server().unleased_locks(end),
+        0,
+        "a lock survived its owner's lease expiry"
+    );
 }
