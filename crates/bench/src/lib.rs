@@ -267,9 +267,10 @@ pub mod report {
     /// same way everywhere: the run's `clamped_past` count (events silently
     /// clamped into the past — always asserted zero, recorded anyway), the
     /// host parallelism the wall-clock numbers were measured under, and the
-    /// calendar queue's health counters (geometry, resizes, depth high-water,
-    /// direct-search fallbacks) so a wall-clock shift can be read against the
-    /// scheduler's behaviour in the same cell.  The sweep binaries append
+    /// pending-event set's health counters (the radix heap's fixed bucket
+    /// count, splits that moved two or more entries, depth high-water and
+    /// entries those splits moved) so a wall-clock shift can be read against
+    /// the scheduler's behaviour in the same cell.  The sweep binaries append
     /// this to each cell's fields instead of hand-rolling the entries, so the
     /// stamps can't drift apart.
     pub fn stamp_cell(

@@ -1,82 +1,46 @@
-//! An adaptive calendar-queue pending-event set.
+//! The pending-event set: a monotone radix heap over parked payloads.
 //!
-//! The simulator's [`crate::EventQueue`] used to sit on a `BinaryHeap`.  At
-//! millions of events per second the heap itself becomes the hot path:
-//! every push and pop sifts ~128-byte entries across `O(log n)` levels, and
-//! the sift traffic (not the comparisons) dominates.
-//! A calendar queue (Brown, CACM 1988) replaces the heap with a
-//! power-of-two array of *buckets* indexed by event time, giving amortised
-//! O(1) schedule and pop: an event moves exactly once on the way in and
-//! once on the way out.
+//! [`crate::EventQueue`] clamps every time to its clock and mints a larger
+//! `seq` on every schedule, so a new `(time_ns, seq)` key never sorts below
+//! the last popped key: the one precondition of a radix heap (Ahuja,
+//! Mehlhorn, Orlin and Tarjan, 1990), asserted by [`RadixQueue::schedule`].
+//! The module keeps its old name, `calq`, which the benchmark's labels use.
 //!
-//! # Layout
+//! Read as one 128-bit number `time << 64 | seq`, a key lands in the bucket
+//! of the highest bit in which it differs from `last`, the last popped key:
+//! bucket 0 holds `last` itself, buckets 1–64 keys with the same time and
+//! buckets 65–128 keys with a later time.  Every key in bucket `b` sorts
+//! below every key in bucket `b + 1`.  A pop takes bucket 0, or *splits*
+//! the lowest non-empty bucket: its minimum becomes `last` and the other
+//! entries fall into lower buckets.  Entries only move down, so schedule
+//! and pop are O(1) amortised, and pops follow the global key order (the
+//! differential fuzz suites here and in [`crate::queue`] pin it against
+//! the retained `BinaryHeap` oracle).
 //!
-//! ```text
-//!             width = 1 << shift nanoseconds per bucket
-//!   bucket =  (time >> shift) & (nbuckets - 1)      nbuckets = power of two
-//!
-//!   [ b0 ] [ b1 ] [ b2 ] [ b3 ] ... [ bN-1 ]        one "year" = N buckets
-//!     |      |
-//!     |      +-- events whose virtual slot ≡ 1 (mod N), any year
-//!     +--------- sorted ascending by full key: minimum at the front, so
-//!                pop is `pop_front` and an in-order insert is `push_back`
-//! ```
-//!
-//! A dequeue scans forward from the current *virtual slot* (`time >>
-//! shift`, not wrapped) and takes the front of the first bucket whose
-//! minimum actually belongs to the slot under the cursor; a bucket whose
-//! minimum lives in a later year is skipped.  If a whole year of slots is
-//! fruitless (the pending set is sparse relative to the bucket span) the
-//! queue falls back to a direct O(nbuckets) scan for the global minimum —
-//! counted in [`CalStats::rotations`] so the bench cells expose how often
-//! the calendar degraded to a linear search.
-//!
-//! # Determinism
-//!
-//! Pop order is the whole contract: the golden tables and every replayed
-//! run pin it bit-for-bit.  The queue therefore never orders by bucket
-//! position alone — buckets are kept sorted by the **full key**
-//! `(time, seq)`, and two events can only collide into the same slot when
-//! their times are close, so "earliest virtual slot, then smallest key
-//! within the bucket" reproduces the global key order exactly.  Because the scan always returns the true global
-//! minimum, bucket count and width are *pure performance knobs*: a resize
-//! can never change pop order, which is what makes the adaptive part safe.
-//!
-//! # Adaptivity
-//!
-//! The queue resizes when occupancy drifts out of band (more than two
-//! events per bucket on average, or fewer than one per four buckets) and
-//! re-derives the bucket width from the observed mean inter-pop gap at
-//! that moment.  Rebuilds recycle the old bucket storage through a spare
-//! pool, so a steady-state run settles into a fixed geometry and performs
-//! no further allocations — the same hot-loop contract the op generators
-//! honour (`tests/sfs_scale.rs`).
+//! Buckets hold 24-byte `(key, slot)` entries; the event is parked once in
+//! a slab slot, so a split never moves it.  Bucket vectors keep their
+//! capacity and slab slots are recycled, so a warmed queue does not
+//! allocate (`tests/sfs_scale.rs` pins it).
 
-use std::cell::Cell;
-use std::collections::VecDeque;
-
-/// A scheduling key: `(firing time in nanoseconds, insertion sequence)`.
-/// Tuple order is time-major, so a smaller key never fires later, and
-/// same-instant events pop in sequence order.
+/// `(firing time in nanoseconds, insertion sequence)`: same-instant events
+/// pop in sequence order.
 type Key = (u64, u64);
 
-/// Scheduler-health counters of one [`CalendarQueue`].
-///
-/// Surfaced through the drivers' run statistics and stamped into bench
-/// cells next to `host_parallelism`, so a perf regression in the pending
-/// -event set is visible in the recorded trajectory, not just in wall
-/// clock.
+/// Bucket 0 plus one bucket per bit of the 128-bit key.
+const BUCKETS: usize = 129;
+
+/// Scheduler-health counters of one [`RadixQueue`], stamped into bench
+/// cells; the names date from the calendar queue it replaced.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CalStats {
-    /// Current number of buckets (always a power of two).
+    /// Number of buckets: fixed at 129 (bucket 0 plus one per key bit).
     pub buckets: u64,
-    /// Geometry rebuilds: occupancy left the `[nbuckets/4, 2*nbuckets]`
-    /// band and the bucket array was resized / the width re-derived.
+    /// Bucket splits that moved two or more entries to lower buckets.
     pub resizes: u64,
-    /// High-water mark of events in a single bucket.
+    /// High-water mark of entries in a single bucket.
     pub max_depth: u64,
-    /// Dequeues that scanned a full year without a hit and fell back to a
-    /// direct minimum search (the calendar's O(n) degradation path).
+    /// Entries moved by the splits counted in `resizes`: the heap's
+    /// amortised overhead.
     pub rotations: u64,
 }
 
@@ -91,368 +55,146 @@ impl CalStats {
     }
 }
 
-/// Initial bucket count; also the floor the shrink path never goes below.
-const MIN_BUCKETS: usize = 64;
-
-/// Initial `log2` of the bucket width in nanoseconds (64 µs) — replaced by
-/// the measured inter-pop gap at the first resize.
-const INITIAL_SHIFT: u32 = 16;
-
-/// Widest bucket the adaptation will pick (2^40 ns ≈ 18 minutes): beyond
-/// this the calendar is effectively one bucket per run and a wider slot
-/// buys nothing.
-const MAX_SHIFT: u32 = 40;
-
-/// Pops between width recalibrations when occupancy stays in band.
-const RECAL_POPS: u64 = 256;
-
-/// An adaptive calendar queue of payloads `E` keyed by
-/// `(time_ns, seq)`.
-///
-/// See the [module docs](self) for the structure; the public surface is
-/// deliberately minimal — the simulator-facing API (clamping, sequence
-/// minting, `clamped_past` accounting) lives in [`crate::EventQueue`].
-pub struct CalendarQueue<E> {
-    /// `buckets[(t >> shift) & mask]`, each sorted ascending by key.
-    buckets: Vec<VecDeque<(Key, E)>>,
-    mask: usize,
-    shift: u32,
-    len: usize,
-    /// One bit per bucket, set iff the bucket is non-empty, so the slot
-    /// scan skips runs of empty buckets with `trailing_zeros` instead of
-    /// probing them one by one.
-    occupied: Vec<u64>,
-    /// Scan cursor: no pending event has a virtual slot below this.
-    /// Interior-mutable so `peek` (used by `&self` accessors upstream) can
-    /// persist its scan progress and a following pop is O(1).
-    scan_vslot: Cell<u64>,
-    /// Bucket index whose front is the known global minimum, when a peek
-    /// has located it and nothing smaller has been scheduled since.
-    cursor: Cell<Option<u32>>,
-    /// Recycled bucket storage for resizes (geometry rebuilds move the
-    /// old deques here instead of freeing them).
-    spare: Vec<VecDeque<(Key, E)>>,
-    /// The previous bucket array's spine, kept so a rebuild reuses its
-    /// capacity instead of allocating a fresh one.
-    spare_spine: Vec<VecDeque<(Key, E)>>,
-    /// Pop-gap sampling since the last resize, for width re-derivation.
-    pops_since_resize: u64,
-    first_pop_ns: u64,
-    last_pop_ns: u64,
-    resizes: u64,
-    max_depth: u64,
-    rotations: Cell<u64>,
+/// One pending event in a bucket: its key and its slab slot.
+#[derive(Clone, Copy)]
+struct Entry {
+    key: Key,
+    slot: u32,
 }
 
-impl<E> Default for CalendarQueue<E> {
+/// The bucket of `key` relative to the last popped key `last <= key`.
+#[inline]
+fn bucket_of(key: Key, last: Key) -> usize {
+    let time = key.0 ^ last.0;
+    if time != 0 {
+        128 - time.leading_zeros() as usize
+    } else {
+        64 - (key.1 ^ last.1).leading_zeros() as usize
+    }
+}
+
+/// A monotone radix heap of payloads `E` keyed by `(time_ns, seq)`; the
+/// simulator-facing API (clamping, sequence minting) is [`crate::EventQueue`].
+pub struct RadixQueue<E> {
+    buckets: Box<[Vec<Entry>; BUCKETS]>,
+    /// Bit `b - 1` is set iff bucket `b >= 1` is non-empty.
+    occupied: u128,
+    /// The last popped key; no pending key is below it.
+    last: Key,
+    /// Parked events; `None` marks a free slot.
+    slab: Vec<Option<E>>,
+    /// Free slab slots, reused before the slab grows.
+    free: Vec<u32>,
+    stats: CalStats,
+}
+
+impl<E> Default for RadixQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> CalendarQueue<E> {
-    /// An empty queue with the default geometry (adapted after use).
+impl<E> RadixQueue<E> {
+    /// An empty queue whose last popped key is `(0, 0)`.
     pub fn new() -> Self {
-        let mut buckets = Vec::with_capacity(MIN_BUCKETS);
-        buckets.resize_with(MIN_BUCKETS, VecDeque::new);
-        CalendarQueue {
-            buckets,
-            occupied: vec![0; MIN_BUCKETS >> 6],
-            mask: MIN_BUCKETS - 1,
-            shift: INITIAL_SHIFT,
-            len: 0,
-            scan_vslot: Cell::new(0),
-            cursor: Cell::new(None),
-            spare: Vec::new(),
-            spare_spine: Vec::new(),
-            pops_since_resize: 0,
-            first_pop_ns: 0,
-            last_pop_ns: 0,
-            resizes: 0,
-            max_depth: 0,
-            rotations: Cell::new(0),
+        RadixQueue {
+            buckets: Box::new(std::array::from_fn(|_| Vec::new())),
+            occupied: 0,
+            last: (0, 0),
+            slab: Vec::new(),
+            free: Vec::new(),
+            stats: CalStats {
+                buckets: BUCKETS as u64,
+                ..CalStats::default()
+            },
         }
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.slab.len() - self.free.len()
     }
 
     /// `true` when nothing is pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// The current health counters.
     pub fn stats(&self) -> CalStats {
-        CalStats {
-            buckets: (self.mask + 1) as u64,
-            resizes: self.resizes,
-            max_depth: self.max_depth,
-            rotations: self.rotations.get(),
-        }
+        self.stats
     }
 
-    #[inline]
-    fn vslot(&self, k: &Key) -> u64 {
-        k.0 >> self.shift
-    }
-
-    /// Insert into the right bucket, keeping it sorted ascending so the
-    /// minimum stays at the front.  The fast path is an O(1) append: same
-    /// -instant bursts (a gathered batch's replies) and chronological
-    /// child schedules both arrive in increasing key order, so the new
-    /// key usually sorts after everything already in the bucket.  Keys
-    /// are unique (every caller mints a distinguishing sequence number),
-    /// so the partition point is exact.
-    #[inline]
-    fn place(&mut self, key: Key, event: E) {
-        let idx = (self.vslot(&key) as usize) & self.mask;
-        let bucket = &mut self.buckets[idx];
-        match bucket.back() {
-            Some((back, _)) if key < *back => {
-                let pos = bucket.partition_point(|(k, _)| *k < key);
-                bucket.insert(pos, (key, event));
-            }
-            _ => bucket.push_back((key, event)),
-        }
-        self.occupied[idx >> 6] |= 1 << (idx & 63);
-        let depth = bucket.len() as u64;
-        if depth > self.max_depth {
-            self.max_depth = depth;
-        }
-    }
-
-    /// Schedule one event.  O(1) amortised; the caller guarantees `key` is
-    /// unique (distinct sequence field).
+    /// Schedule `event` under a unique key at or above the last popped key.
     pub fn schedule(&mut self, key: Key, event: E) {
-        let vs = self.vslot(&key);
-        // Rewind the scan cursor if the new event lands below it — a peek
-        // may have advanced the cursor past this slot while it was empty.
-        if vs < self.scan_vslot.get() {
-            self.scan_vslot.set(vs);
-        }
-        // Keep the cached minimum coherent without a rescan: a smaller key
-        // than the cached one relocates the cursor to its bucket; anything
-        // larger leaves the cached minimum the minimum.
-        if let Some(b) = self.cursor.get() {
-            let cached = &self.buckets[b as usize]
-                .front()
-                .expect("cursor points at an empty bucket")
-                .0;
-            if key < *cached {
-                self.cursor.set(Some(((vs as usize) & self.mask) as u32));
-            }
-        }
-        self.place(key, event);
-        self.len += 1;
-        self.maybe_resize();
+        assert!(
+            key >= self.last,
+            "key {key:?} sorts below the last popped key {:?}",
+            self.last
+        );
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slab.push(None);
+            u32::try_from(self.slab.len() - 1).expect("under 2^32 pending events")
+        });
+        self.slab[slot as usize] = Some(event);
+        self.place(Entry { key, slot });
     }
 
-    /// Offset in slots from ring position `pos` to the next occupied
-    /// bucket, looking at most `span` slots forward (wrapping around the
-    /// bucket array).  `None` when every bucket in that window is empty.
-    #[inline]
-    fn next_occupied(&self, pos: usize, span: usize) -> Option<usize> {
-        let nb = self.mask + 1;
-        if nb == 64 {
-            let w = self.occupied[0].rotate_right(pos as u32);
-            let tz = w.trailing_zeros() as usize;
-            return (tz < span).then_some(tz);
+    fn place(&mut self, entry: Entry) {
+        let b = bucket_of(entry.key, self.last);
+        let bucket = &mut self.buckets[b];
+        if bucket.capacity() == 0 {
+            // Skip the 4-entry step: its freed blocks pile up in the
+            // allocator's fast bins and slow the next large allocation.
+            bucket.reserve_exact(8);
         }
-        let mut off = 0usize;
-        let mut i = pos;
-        while off < span {
-            let bit = i & 63;
-            let w = self.occupied[i >> 6] >> bit;
-            if w != 0 {
-                let total = off + w.trailing_zeros() as usize;
-                return (total < span).then_some(total);
-            }
-            let step = 64 - bit;
-            off += step;
-            i += step;
-            if i >= nb {
-                i -= nb;
-            }
+        bucket.push(entry);
+        self.stats.max_depth = self.stats.max_depth.max(bucket.len() as u64);
+        if b > 0 {
+            self.occupied |= 1 << (b - 1);
         }
-        None
     }
 
-    /// Key of the earliest pending event, locating it if necessary.
-    ///
-    /// Takes `&self`: scan progress and the located minimum persist in
-    /// interior-mutable cells so the following [`CalendarQueue::pop`] (or
-    /// the next peek) is O(1).
+    fn lowest_occupied(&self) -> Option<usize> {
+        (self.occupied != 0).then(|| self.occupied.trailing_zeros() as usize + 1)
+    }
+
+    /// Key of the earliest pending event (scans one bucket; tests only).
     pub fn peek_key(&self) -> Option<Key> {
-        if self.len == 0 {
-            return None;
+        if let Some(entry) = self.buckets[0].last() {
+            return Some(entry.key);
         }
-        if let Some(b) = self.cursor.get() {
-            return self.buckets[b as usize].front().map(|(k, _)| *k);
-        }
-        let nb = self.mask + 1;
-        let start = self.scan_vslot.get();
-        let mut off = 0usize;
-        while off < nb {
-            // Jump straight to the next non-empty bucket; empty runs cost
-            // one `trailing_zeros`, not one probe per slot.
-            let pos = ((start + off as u64) as usize) & self.mask;
-            let Some(d) = self.next_occupied(pos, nb - off) else {
-                break;
-            };
-            let vs = start + (off + d) as u64;
-            let idx = (vs as usize) & self.mask;
-            let (k, _) = self.buckets[idx]
-                .front()
-                .expect("occupied bit set on an empty bucket");
-            if self.vslot(k) == vs {
-                self.scan_vslot.set(vs);
-                self.cursor.set(Some(idx as u32));
-                return Some(*k);
-            }
-            // Occupied, but its minimum lives in a later year: skip it.
-            off += d + 1;
-        }
-        // A whole year was fruitless: the pending set is sparse relative
-        // to the calendar span.  Fall back to a direct minimum search
-        // over the occupied buckets.
-        self.rotations.set(self.rotations.get() + 1);
-        let mut best: Option<(usize, Key)> = None;
-        for (wi, &word) in self.occupied.iter().enumerate() {
-            let mut w = word;
-            while w != 0 {
-                let idx = (wi << 6) + w.trailing_zeros() as usize;
-                w &= w - 1;
-                let (k, _) = self.buckets[idx]
-                    .front()
-                    .expect("occupied bit set on an empty bucket");
-                if best.map(|(_, bk)| *k < bk).unwrap_or(true) {
-                    best = Some((idx, *k));
-                }
-            }
-        }
-        let (idx, k) = best.expect("len > 0 but every bucket is empty");
-        self.scan_vslot.set(self.vslot(&k));
-        self.cursor.set(Some(idx as u32));
-        Some(k)
+        let b = self.lowest_occupied()?;
+        self.buckets[b].iter().map(|e| e.key).min()
     }
 
     /// Remove and return the earliest pending event.
     pub fn pop(&mut self) -> Option<(Key, E)> {
-        let key = self.peek_key()?;
-        let b = self.cursor.get().expect("peek located the minimum") as usize;
-        let (k, e) = self.buckets[b].pop_front().expect("cursor bucket is empty");
-        debug_assert!(k == key);
-        self.len -= 1;
-        if self.buckets[b].is_empty() {
-            self.occupied[b >> 6] &= !(1 << (b & 63));
-        }
-        // The next event in the same bucket at the same slot stays the
-        // global minimum — the common case in tie bursts; otherwise the
-        // next peek rescans from the popped slot.
-        let same_slot = self.buckets[b]
-            .front()
-            .is_some_and(|(k2, _)| self.vslot(k2) == self.scan_vslot.get());
-        if !same_slot {
-            self.cursor.set(None);
-        }
-        let t = k.0;
-        if self.pops_since_resize == 0 {
-            self.first_pop_ns = t;
-        }
-        self.last_pop_ns = t;
-        self.pops_since_resize += 1;
-        self.maybe_resize();
-        Some((k, e))
+        let entry = self.buckets[0].pop().or_else(|| self.split_lowest())?;
+        let event = self.slab[entry.slot as usize].take();
+        self.free.push(entry.slot);
+        Some((entry.key, event.expect("a pending slot holds its event")))
     }
 
-    /// Resize when occupancy leaves the `[nb/4, 2*nb]` band, and
-    /// recalibrate the bucket width from the observed mean inter-pop gap
-    /// both then and periodically (every [`RECAL_POPS`] pops) — a run
-    /// whose event density never trips the occupancy band still settles
-    /// onto a fitted width after its first few hundred events.
-    fn maybe_resize(&mut self) {
-        let nb = self.mask + 1;
-        let grow = self.len > nb * 2;
-        let shrink = nb > MIN_BUCKETS && self.len < nb / 4;
-        let recalibrate = self.pops_since_resize >= RECAL_POPS;
-        if !(grow || shrink || recalibrate) {
-            return;
+    /// Empty the lowest non-empty bucket: its minimum becomes `last` and is
+    /// returned, and every other entry moves to a lower bucket.
+    fn split_lowest(&mut self) -> Option<Entry> {
+        let b = self.lowest_occupied()?;
+        self.occupied &= !(1 << (b - 1));
+        let mut bucket = std::mem::take(&mut self.buckets[b]);
+        let at = (0..bucket.len()).min_by_key(|&i| bucket[i].key);
+        let min = bucket.swap_remove(at.expect("an occupied bucket holds an entry"));
+        self.last = min.key;
+        if bucket.len() >= 2 {
+            self.stats.resizes += 1;
+            self.stats.rotations += bucket.len() as u64;
         }
-        let new_nb = if grow || shrink {
-            self.len.next_power_of_two().max(MIN_BUCKETS)
-        } else {
-            nb
-        };
-        let new_shift = self.derived_shift();
-        let close_enough = new_shift.abs_diff(self.shift) <= 1;
-        if new_nb == nb && (new_shift == self.shift || (recalibrate && close_enough)) {
-            // The geometry already fits (a one-step width disagreement is
-            // within the heuristic's noise — rebuilding on it would thrash
-            // every recalibration window); restart the sampling window.
-            self.pops_since_resize = 0;
-            return;
+        for entry in bucket.drain(..) {
+            self.place(entry);
         }
-        self.rebuild(new_nb, new_shift);
-    }
-
-    /// The bucket-width exponent suggested by the pop gaps observed since
-    /// the last resize: width ≈ the mean gap, rounded down to a power of
-    /// two.  Narrow buckets keep depth (and therefore mid-bucket insert
-    /// shifting) low; the occupancy bitmap makes the longer empty-slot
-    /// runs they produce free to skip.  With too few samples (or an
-    /// all-ties stream) the current width is kept — there is nothing to
-    /// adapt to yet.
-    fn derived_shift(&self) -> u32 {
-        if self.pops_since_resize < 16 {
-            return self.shift;
-        }
-        let span = self.last_pop_ns.saturating_sub(self.first_pop_ns);
-        let gap = span / self.pops_since_resize;
-        if gap == 0 {
-            return self.shift;
-        }
-        (63 - gap.leading_zeros()).min(MAX_SHIFT)
-    }
-
-    /// Move every pending event into a fresh geometry, recycling bucket
-    /// storage through the spare pool so steady state stays allocation
-    /// -free once capacities have warmed up.
-    fn rebuild(&mut self, new_nb: usize, new_shift: u32) {
-        self.resizes += 1;
-        let mut old = std::mem::take(&mut self.buckets);
-        let mut spine = std::mem::take(&mut self.spare_spine);
-        spine.reserve(new_nb);
-        for _ in 0..new_nb {
-            spine.push(self.spare.pop().unwrap_or_default());
-        }
-        self.buckets = spine;
-        self.occupied.clear();
-        self.occupied.resize(new_nb >> 6, 0);
-        self.shift = new_shift;
-        self.mask = new_nb - 1;
-        self.cursor.set(None);
-        let mut min_vslot = u64::MAX;
-        for bucket in old.iter_mut() {
-            // Drain front-to-back: keys come out ascending, so each lands
-            // at the back of its new bucket through the O(1) fast path.
-            for (k, e) in bucket.drain(..) {
-                min_vslot = min_vslot.min(k.0 >> new_shift);
-                self.place(k, e);
-            }
-        }
-        // Old bucket storage (emptied, capacity warmed) and the old spine
-        // go back into the spare pools for the next rebuild.
-        self.spare.append(&mut old);
-        self.spare_spine = old;
-        self.scan_vslot.set(if min_vslot == u64::MAX {
-            self.last_pop_ns >> new_shift
-        } else {
-            min_vslot
-        });
-        self.pops_since_resize = 0;
+        // Put the emptied vector back so the bucket keeps its capacity.
+        self.buckets[b] = bucket;
+        Some(min)
     }
 }
 
@@ -460,8 +202,8 @@ impl<E> CalendarQueue<E> {
 pub(crate) mod heap_oracle {
     //! The previous `BinaryHeap` pending-event set, kept as the reference
     //! oracle for the differential fuzz suites: it is exactly the
-    //! implementation `EventQueue` shipped with before the calendar queue,
-    //! made generic over the key.
+    //! implementation `EventQueue` shipped with before the first bucketed
+    //! queue, made generic over the key.
 
     use std::cmp::Ordering;
     use std::collections::BinaryHeap;
@@ -549,18 +291,18 @@ pub(crate) mod tests {
 
     #[test]
     fn pops_in_key_order_across_slots_and_years() {
-        let mut q = CalendarQueue::new();
-        // Times chosen to straddle bucket widths and whole years of the
-        // initial geometry.
+        let mut q = RadixQueue::new();
+        // Times whose highest set bits span the time levels from bit 0 to
+        // bit 40, scheduled out of order.
         let times = [
-            0u64,
-            1,
-            65_535,
+            1u64 << 40,
             65_536,
-            1 << 22,
-            (1 << 22) + 3,
+            0,
             u64::from(u32::MAX),
-            1 << 40,
+            1,
+            (1 << 22) + 3,
+            65_535,
+            1 << 22,
         ];
         for (i, &t) in times.iter().enumerate() {
             q.schedule((t, i as u64), i);
@@ -576,7 +318,7 @@ pub(crate) mod tests {
 
     #[test]
     fn ties_pop_in_seq_order() {
-        let mut q = CalendarQueue::new();
+        let mut q = RadixQueue::new();
         for seq in 0..1000u64 {
             q.schedule((42, seq), seq);
         }
@@ -589,43 +331,96 @@ pub(crate) mod tests {
 
     #[test]
     fn schedule_below_the_scan_cursor_is_still_popped_first() {
-        let mut q = CalendarQueue::new();
-        // Park the scan far out by draining an early event, then peeking
-        // at a distant one (the peek advances the persistent cursor).
+        let mut q = RadixQueue::new();
+        // Pop an early event, then peek at a distant one: the peek must not
+        // commit to the far bucket.
         q.schedule((100, 0), "early");
         q.schedule((1 << 30, 1), "far");
         assert_eq!(q.pop().unwrap().1, "early");
         assert_eq!(q.peek_key().unwrap().0, 1 << 30);
-        // Now schedule between the popped slot and the far event: the
-        // rewind rule must bring the cursor back or this pops out of
-        // order.
+        // A key between the last pop and the far event pops first.
         q.schedule((200, 2), "mid");
+        assert_eq!(q.peek_key().unwrap().0, 200);
         assert_eq!(q.pop().unwrap().1, "mid");
         assert_eq!(q.pop().unwrap().1, "far");
     }
 
     #[test]
-    fn resize_preserves_order_and_recycles_storage() {
-        let mut q = CalendarQueue::new();
-        // Push far past the grow threshold, then drain past the shrink
-        // threshold: both rebuilds must keep the pop order exact.
-        let mut rng = Rng::new(7);
-        let mut oracle = HeapQueue::new();
-        for seq in 0..4096u64 {
-            let t = rng.below(1 << 34);
-            q.schedule((t, seq), seq);
-            oracle.schedule((t, seq), seq);
+    fn every_bucket_level_is_reachable_and_pops_in_order() {
+        let mut q = RadixQueue::new();
+        // Relative to the initial last key (0, 0): (0, 0) lands in bucket
+        // 0, (0, 1 << i) in bucket i + 1, and (1 << i, 0) in bucket i + 65.
+        let mut keys = vec![(0u64, 0u64)];
+        keys.extend((0..64).map(|i| (0, 1u64 << i)));
+        keys.extend((0..64).map(|i| (1u64 << i, 0)));
+        for (i, &key) in keys.iter().enumerate().rev() {
+            q.schedule(key, i);
         }
-        assert!(q.stats().resizes > 0, "grow path never triggered");
-        while let Some(got) = q.pop() {
-            assert_eq!(Some(got), oracle.pop());
+        assert!(q.buckets.iter().all(|b| b.len() == 1));
+        assert_eq!(q.stats().max_depth, 1);
+        for (i, &key) in keys.iter().enumerate() {
+            assert_eq!(q.pop(), Some((key, i)));
         }
-        assert_eq!(oracle.len(), 0);
-        let stats = q.stats();
-        assert!(
-            stats.resizes >= 2,
-            "drain never shrank the calendar: {stats:?}"
-        );
+        assert!(q.pop().is_none());
+        // Every split emptied a one-entry bucket: nothing moved.
+        assert_eq!(q.stats().resizes, 0);
+        assert_eq!(q.stats().rotations, 0);
+    }
+
+    #[test]
+    fn splits_count_resizes_and_the_entries_they_move() {
+        let mut q = RadixQueue::new();
+        // Times 8..=11 differ from 0 first in bit 3: one bucket of four.
+        for (seq, t) in (8u64..=11).enumerate() {
+            q.schedule((t, seq as u64), t);
+        }
+        assert_eq!(q.stats().max_depth, 4);
+        // The first pop splits it: 8 pops, 9 falls to bit 0's bucket and
+        // 10, 11 to bit 1's — one split that moved three entries.
+        assert_eq!(q.pop().unwrap().1, 8);
+        assert_eq!(q.stats().resizes, 1);
+        assert_eq!(q.stats().rotations, 3);
+        // 9 is alone in its bucket; the split of {10, 11} moves only 11.
+        // Neither moved two entries, so neither counts.
+        assert_eq!(q.pop().unwrap().1, 9);
+        assert_eq!(q.pop().unwrap().1, 10);
+        assert_eq!(q.pop().unwrap().1, 11);
+        let s = q.stats();
+        assert_eq!((s.buckets, s.resizes, s.rotations), (129, 1, 3));
+    }
+
+    #[test]
+    fn slab_slots_and_bucket_storage_are_recycled() {
+        let mut q = RadixQueue::new();
+        let mut seq = 0u64;
+        let mut now = 0u64;
+        for round in 0..10 {
+            for i in 0..64u64 {
+                q.schedule((now + i * 977 + (i % 3) * (1 << 33), seq), seq);
+                seq += 1;
+            }
+            while let Some(((t, _), _)) = q.pop() {
+                now = t;
+            }
+            if round == 0 {
+                assert_eq!(q.slab.len(), 64);
+            }
+        }
+        // The slab never grew past one round's pending set, and every slot
+        // went back to the free list.
+        assert_eq!(q.slab.len(), 64);
+        assert_eq!(q.free.len(), 64);
+        assert!(q.slab.iter().all(Option::is_none));
+        assert!(q.stats().resizes > 0 && q.stats().rotations >= 2 * q.stats().resizes);
+    }
+
+    #[test]
+    #[should_panic(expected = "sorts below the last popped key")]
+    fn schedule_below_the_last_pop_panics() {
+        let mut q = RadixQueue::new();
+        q.schedule((1_000, 0), ());
+        q.pop();
+        q.schedule((999, 1), ());
     }
 
     #[test]
@@ -636,7 +431,7 @@ pub(crate) mod tests {
         // implementation.
         for seed in 1..=20u64 {
             let mut rng = Rng::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let mut q = CalendarQueue::new();
+            let mut q = RadixQueue::new();
             let mut oracle = HeapQueue::new();
             let mut seq = 0u64;
             let mut now = 0u64;
@@ -666,7 +461,7 @@ pub(crate) mod tests {
                         }
                     }
                     // Interleaved pops (with occasional peeks, which
-                    // advance the calendar's persistent scan state).
+                    // must not disturb the pop order).
                     _ => {
                         if rng.below(4) == 0 {
                             assert_eq!(q.peek_key(), oracle.peek_key().copied());
@@ -693,32 +488,103 @@ pub(crate) mod tests {
         }
     }
 
-    #[test]
-    fn sparse_far_future_events_fall_back_to_direct_search() {
-        let mut q = CalendarQueue::new();
-        // A handful of events spread over an enormous span: every year
-        // scan is fruitless and the direct-search path must find the
-        // minimum (and count the rotation).
-        for (seq, t) in [1u64 << 50, 1 << 45, 1 << 55, 1 << 41].iter().enumerate() {
-            q.schedule((*t, seq as u64), seq);
+    /// One fuzz stream: the queue under test and the oracle.
+    struct Walk {
+        q: RadixQueue<u64>,
+        oracle: HeapQueue<Key, u64>,
+        rng: Rng,
+        seq: u64,
+        now: u64,
+    }
+
+    impl Walk {
+        fn schedule(&mut self, t: u64) {
+            self.q.schedule((t, self.seq), self.seq);
+            self.oracle.schedule((t, self.seq), self.seq);
+            // Rare sequence gaps of any size, so same-time keys also
+            // differ in high bits.
+            let gap = if self.rng.below(64) == 0 {
+                1 << self.rng.below(64)
+            } else {
+                1
+            };
+            self.seq = self.seq.checked_add(gap).unwrap_or(self.seq + 1);
         }
-        assert_eq!(q.peek_key().unwrap().0, 1 << 41);
-        assert!(q.stats().rotations >= 1);
-        let mut last = 0;
-        while let Some(((t, _), _)) = q.pop() {
-            assert!(t > last);
-            last = t;
+
+        fn pop_and_compare(&mut self, context: &str) -> bool {
+            assert_eq!(self.q.peek_key(), self.oracle.peek_key().copied());
+            let got = self.q.pop();
+            assert_eq!(got, self.oracle.pop(), "{context}");
+            match got {
+                Some(((t, _), _)) => {
+                    self.now = t;
+                    true
+                }
+                None => false,
+            }
         }
     }
 
     #[test]
+    fn differential_fuzz_walks_every_radix_level() {
+        // Shapes aimed at the radix levels: timers up to 2^60 ns ahead,
+        // same-instant bursts of 1,000, schedules exactly at the last
+        // popped time, and long idle jumps after a full drain.  Streams
+        // start at staggered clocks up to 2^63 ns so the top time bits
+        // flip too (and the clock saturates at u64::MAX on some).  Every
+        // bucket must hold an entry at some point.
+        let mut levels = [false; BUCKETS];
+        for seed in 1..=8u64 {
+            let mut w = Walk {
+                q: RadixQueue::new(),
+                oracle: HeapQueue::new(),
+                rng: Rng::new(seed.wrapping_mul(0xD1B5_4A32_D192_ED03)),
+                seq: 0,
+                now: (seed - 1) << 60,
+            };
+            for step in 0..3_000 {
+                let context = format!("seed {seed} step {step}");
+                match step % 7 + w.rng.below(3) {
+                    0 | 1 => {
+                        let level = w.rng.below(61);
+                        let t = w.now.saturating_add(w.rng.below(1 << level));
+                        w.schedule(t);
+                    }
+                    2 => w.schedule(w.now),
+                    3 if w.rng.below(40) == 0 => {
+                        let t = w.now.saturating_add(w.rng.below(1 << 20));
+                        for _ in 0..1_000 {
+                            w.schedule(t);
+                        }
+                    }
+                    4 if w.rng.below(100) == 0 => {
+                        while w.pop_and_compare(&context) {}
+                        let t = w.now.saturating_add(w.rng.below(1 << 60));
+                        w.schedule(t);
+                    }
+                    _ => {
+                        w.pop_and_compare(&context);
+                    }
+                }
+                for (b, bucket) in w.q.buckets.iter().enumerate() {
+                    levels[b] |= !bucket.is_empty();
+                }
+            }
+            while w.pop_and_compare(&format!("seed {seed} final drain")) {}
+            assert_eq!(w.oracle.len(), 0);
+        }
+        let missed: Vec<usize> = (0..BUCKETS).filter(|&b| !levels[b]).collect();
+        assert!(missed.is_empty(), "levels never scheduled into: {missed:?}");
+    }
+
+    #[test]
     fn stats_track_geometry_and_depth() {
-        let mut q = CalendarQueue::new();
+        let mut q = RadixQueue::new();
         let s = q.stats();
-        assert_eq!(s.buckets, MIN_BUCKETS as u64);
+        assert_eq!(s.buckets, BUCKETS as u64);
         assert_eq!(s.max_depth, 0);
         for seq in 0..10u64 {
-            q.schedule((7, seq), ());
+            q.schedule((1 << 20, seq), ());
         }
         assert_eq!(q.stats().max_depth, 10);
         let mut acc = CalStats::default();
@@ -730,7 +596,7 @@ pub(crate) mod tests {
             rotations: 1,
         };
         acc.absorb(&more);
-        assert_eq!(acc.buckets, MIN_BUCKETS as u64);
+        assert_eq!(acc.buckets, BUCKETS as u64);
         assert_eq!(acc.resizes, 2);
         assert_eq!(acc.max_depth, 10);
         assert_eq!(acc.rotations, 1);

@@ -5,7 +5,9 @@
 //!
 //! * [`SimTime`] / [`Duration`] — a nanosecond-resolution virtual clock,
 //! * [`EventQueue`] — a deterministic future-event list (ties broken by
-//!   insertion order, so identical inputs always produce identical runs),
+//!   insertion order, so identical inputs always produce identical runs) on
+//!   a monotone radix heap, [`RadixQueue`], that parks each event once in a
+//!   slab and moves only its 24-byte key,
 //! * [`Cpu`] / [`MultiCpu`] — shared processor resources with busy-time
 //!   accounting, used to model server (and client) CPU utilisation; a one-core
 //!   [`MultiCpu`] is bit-identical to [`Cpu`],
@@ -37,7 +39,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use calq::{CalStats, CalendarQueue};
+pub use calq::{CalStats, RadixQueue};
 pub use cpu::{Cpu, MultiCpu};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use fxmap::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

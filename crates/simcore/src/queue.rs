@@ -6,24 +6,26 @@
 //! for the same nanosecond (for example a reply transmission and a disk
 //! completion) must always be delivered in the same order.
 //!
-//! The pending set itself is an adaptive calendar queue ([`crate::calq`]),
-//! which replaced the original `BinaryHeap` once the scheduler became the
-//! hot path — amortised O(1) schedule and pop instead of `O(log n)` sifts
-//! of full-width entries.  The pop order is bit-identical to the heap's
-//! (the differential fuzz suite in `calq` pins it against the retained
-//! heap oracle), so the swap is invisible to every golden table.
+//! The pending set itself is a monotone radix heap ([`crate::calq`]) keyed
+//! by `(time_ns, seq)`.  It needs every new key to sort at or above the last
+//! popped one, and this queue guarantees that: it clamps `at` to `now` and
+//! mints a larger `seq` on every schedule.  Each event is parked once in the
+//! heap's slab, so only 24-byte keys move inside it.  The pop order is
+//! bit-identical to the original `BinaryHeap`'s (the differential fuzz
+//! suites in `calq` and here pin it against the retained heap oracle), so
+//! the pending set's structure is invisible to every golden table.
 
-use crate::calq::{CalStats, CalendarQueue};
+use crate::calq::{CalStats, RadixQueue};
 use crate::time::{Duration, SimTime};
 
 /// A deterministic future-event list.
 ///
 /// Events are popped in non-decreasing time order; events scheduled for the
 /// same instant are popped in the order they were scheduled (FIFO), which makes
-/// runs reproducible regardless of the pending set's internal geometry.
+/// runs reproducible regardless of the pending set's internal structure.
 pub struct EventQueue<E> {
     /// Keyed by firing time, then insertion order.
-    cal: CalendarQueue<E>,
+    heap: RadixQueue<E>,
     next_seq: u64,
     now: SimTime,
     scheduled_total: u64,
@@ -40,7 +42,7 @@ impl<E> EventQueue<E> {
     /// Create an empty queue with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
         EventQueue {
-            cal: CalendarQueue::new(),
+            heap: RadixQueue::new(),
             next_seq: 0,
             now: SimTime::ZERO,
             scheduled_total: 0,
@@ -71,15 +73,16 @@ impl<E> EventQueue<E> {
         let at = at.max(self.now);
         // Tie-break invariant: `seq` is strictly monotone over the queue's
         // lifetime — same-instant events pop in schedule order *because*
-        // later schedules mint larger sequence numbers.  A u64 cannot wrap
-        // in practice (5.8e11 years at a billion events per second), but a
-        // future "reset the counter" refactor would silently reorder ties,
-        // so the mint is asserted monotone in debug builds.
+        // later schedules mint larger sequence numbers, and the radix heap
+        // needs the clamped `(at, seq)` key to sort above the last pop (it
+        // asserts so).  A u64 cannot wrap in practice (5.8e11 years at a
+        // billion events per second); the mint is asserted monotone in debug
+        // builds anyway.
         let seq = self.next_seq;
         self.next_seq = seq.wrapping_add(1);
         debug_assert!(self.next_seq > seq, "event sequence counter wrapped");
         self.scheduled_total += 1;
-        self.cal.schedule((at.as_nanos(), seq), event);
+        self.heap.schedule((at.as_nanos(), seq), event);
     }
 
     /// Schedule `event` after a delay relative to the current time.
@@ -90,28 +93,29 @@ impl<E> EventQueue<E> {
     /// Remove and return the earliest event, advancing the clock to its
     /// timestamp.  Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let ((at_ns, _), event) = self.cal.pop()?;
+        let ((at_ns, _), event) = self.heap.pop()?;
         let at = SimTime::from_nanos(at_ns);
         debug_assert!(at >= self.now);
         self.now = at;
         Some((at, event))
     }
 
-    /// Peek at the timestamp of the next event without removing it.
+    /// Peek at the timestamp of the next event without removing it.  Scans
+    /// the heap's lowest bucket; only tests call it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.cal
+        self.heap
             .peek_key()
             .map(|(at_ns, _)| SimTime::from_nanos(at_ns))
     }
 
     /// Number of events currently pending.
     pub fn len(&self) -> usize {
-        self.cal.len()
+        self.heap.len()
     }
 
     /// `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.cal.is_empty()
+        self.heap.is_empty()
     }
 
     /// Total number of events ever scheduled (for run statistics / debugging).
@@ -127,10 +131,10 @@ impl<E> EventQueue<E> {
         self.clamped_past
     }
 
-    /// The pending set's scheduler-health counters (bucket count, resizes,
-    /// depth high-water, direct-search fallbacks).
+    /// The pending set's scheduler-health counters (bucket count, bucket
+    /// splits that moved entries, depth high-water, entries moved).
     pub fn sched_stats(&self) -> CalStats {
-        self.cal.stats()
+        self.heap.stats()
     }
 }
 

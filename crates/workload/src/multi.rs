@@ -582,9 +582,9 @@ mod tests {
     use super::*;
     use crate::testbed::Ev;
 
-    /// Pin the driver event's footprint.  Every schedule moves one `Ev` by
-    /// value into the calendar queue and every pop moves it back out, so a
-    /// grown variant taxes the whole event loop.  The size is set by the
+    /// Pin the driver event's footprint.  Every schedule parks one `Ev` in
+    /// the event queue's slab and every pop moves it back out, so a grown
+    /// variant taxes the whole event loop.  The size is set by the
     /// largest payload (a `ServerInput` carrying an `NfsCall`); box a new
     /// large variant instead of raising this pin.
     #[test]

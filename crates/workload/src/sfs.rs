@@ -416,11 +416,18 @@ impl SfsConfig {
         XID_ORIGIN + self.xid_stride() * client as u32
     }
 
-    /// Expected operations one client stream issues over the run, used to
-    /// size its outstanding-call ring.
-    fn expected_ops_per_client(&self) -> u64 {
+    /// Expected calls one client stream issues over the run, used to size
+    /// its outstanding-call ring: its mix arrivals, plus one lease tick per
+    /// [`SfsConfig::lease_renew_interval`] when leases are armed.
+    fn expected_calls_per_client(&self) -> u64 {
         let per_client = self.offered_ops_per_sec.max(0.0) / self.clients.max(1) as f64;
-        (per_client * self.duration.as_secs_f64()).ceil() as u64
+        let arrivals = (per_client * self.duration.as_secs_f64()).ceil() as u64;
+        let lease_ticks = if self.leases {
+            self.duration.as_nanos() / self.lease_renew_interval.as_nanos() + 1
+        } else {
+            0
+        };
+        arrivals + lease_ticks
     }
 }
 
@@ -483,23 +490,16 @@ struct OutstandingRing {
 }
 
 impl OutstandingRing {
-    fn new(base: u32, expected_ops: u64, compact: bool) -> Self {
-        // Twice the expectation plus slack covers Poisson variance, so a
-        // default-length run never laps the ring and ring semantics stay
-        // identical to the old hash map's; the clamp bounds memory for
-        // extreme offered loads.  `compact` (huge fleets: ≥ 1024 streams)
-        // shrinks the slack and floor so a 10 000-client storm cell costs
-        // kilobytes per stream instead of the default 4096-slot floor —
-        // per-stream expectations are tiny there, so the ring still never
-        // laps.
-        let (slack, floor) = if compact {
-            (256, 1 << 8)
-        } else {
-            (4096, 1 << 12)
-        };
-        let capacity = (expected_ops.saturating_mul(2) + slack)
+    fn new(base: u32, expected_calls: u64) -> Self {
+        // Twice the stream's own expectation plus slack covers Poisson
+        // variance, so a default-length run never laps the ring and ring
+        // semantics stay identical to the old hash map's; the clamp bounds
+        // memory for extreme offered loads.  Sizing from the stream's own
+        // calls keeps a 256-client storm at about a thousand slots per
+        // stream, not thousands of unused ones.
+        let capacity = (expected_calls.saturating_mul(2) + 256)
             .next_power_of_two()
-            .clamp(floor, 1 << 20) as usize;
+            .clamp(1 << 8, 1 << 20) as usize;
         OutstandingRing {
             base,
             mask: capacity - 1,
@@ -1232,7 +1232,7 @@ impl SfsSystem {
             files.push((Arc::<str>::from(name), handle, config.file_size));
         }
         let stride = config.xid_stride();
-        let expected_ops = config.expected_ops_per_client();
+        let expected_calls = config.expected_calls_per_client();
         let mean_gap = clients as f64 / config.offered_ops_per_sec.max(1e-9);
         let mut streams = Vec::with_capacity(clients);
         for client in 0..clients {
@@ -1262,7 +1262,7 @@ impl SfsSystem {
                 created_names: Vec::new(),
                 create_counter: 0,
                 burst_queue: Vec::new(),
-                outstanding: OutstandingRing::new(base, expected_ops, clients >= 1024),
+                outstanding: OutstandingRing::new(base, expected_calls),
                 issued: 0,
                 completed: 0,
                 name_mints: 0,
@@ -1598,9 +1598,9 @@ mod tests {
     use crate::testbed::Ev;
     use wg_simcore::FaultKind;
 
-    /// Pin the driver event's footprint.  Every schedule moves one `Ev` by
-    /// value into the calendar queue and every pop moves it back out, so a
-    /// grown variant taxes the whole event loop.  The size is set by the
+    /// Pin the driver event's footprint.  Every schedule parks one `Ev` in
+    /// the event queue's slab and every pop moves it back out, so a grown
+    /// variant taxes the whole event loop.  The size is set by the
     /// largest payload (a `ServerInput` carrying an `NfsCall` or a reply-bearing `Ev::Reply`); box a new
     /// large variant instead of raising this pin.
     #[test]
@@ -1724,7 +1724,7 @@ mod tests {
 
     #[test]
     fn outstanding_ring_inserts_takes_and_reclaims() {
-        let mut ring = OutstandingRing::new(XID_ORIGIN, 16, false);
+        let mut ring = OutstandingRing::new(XID_ORIGIN, 16);
         let t = SimTime::ZERO + Duration::from_millis(5);
         ring.insert(XID_ORIGIN, t, OpKind::Read);
         ring.insert(XID_ORIGIN + 1, t, OpKind::Write);

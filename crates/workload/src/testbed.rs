@@ -113,8 +113,8 @@ macro_rules! testbed_accessors {
             self.bed.queue.clamped_past()
         }
 
-        /// Scheduler-health counters of the pending-event set (the calendar
-        /// queue's geometry).
+        /// Scheduler-health counters of the pending-event set (the radix
+        /// heap's buckets, splits, depth high-water and moved entries).
         pub fn sched_stats(&self) -> wg_simcore::CalStats {
             self.bed.queue.sched_stats()
         }

@@ -9,8 +9,11 @@
 //!   cores, overlapped I/O, inode groups, read caching) beats the
 //!   single-generator baseline at the same offered load,
 //! * and the hot-loop allocation contract: steady-state op generation
-//!   (LOOKUP / READ / GETATTR / WRITE bursts) performs **zero** heap
-//!   allocations, pinned by a counting global allocator, not by eyeball.
+//!   (LOOKUP / READ / GETATTR / WRITE bursts) and a warmed event queue's
+//!   schedule/pop cycle perform **zero** heap allocations, pinned by a
+//!   counting global allocator, not by eyeball,
+//! * and the outstanding-call rings of a default-length lease storm never
+//!   lap.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -18,8 +21,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use wg_nfsproto::payload::materialize_count;
-use wg_server::WritePolicy;
-use wg_simcore::{Duration, SimTime};
+use wg_server::{StabilityMode, WritePolicy};
+use wg_simcore::{Duration, EventQueue, SimRng, SimTime};
 use wg_workload::sfs::SfsSystem;
 use wg_workload::{SfsConfig, SfsMix, SfsSweep};
 
@@ -135,6 +138,72 @@ fn steady_state_generation_performs_no_heap_allocation() {
     );
     // The generator-level counter agrees: nothing was minted either.
     assert_eq!(system.name_mints(), mints_before);
+}
+
+#[test]
+fn warmed_event_queue_schedules_and_pops_without_allocating() {
+    let _serial = serialised();
+    // A bounded pending set of 256 events, each about a driver event's
+    // size, with near timers (< 65 µs) and far ones (< 67 ms): every pop
+    // schedules one replacement, so the set never outgrows its warm-up
+    // high-water mark.
+    let mut queue: EventQueue<[u64; 13]> = EventQueue::new();
+    let mut rng = SimRng::seed_from(11);
+    let mut cycle = |queue: &mut EventQueue<[u64; 13]>, i: u64| {
+        let delay = if i.is_multiple_of(8) {
+            rng.next_below(1 << 26)
+        } else {
+            rng.next_below(1 << 16)
+        };
+        queue.schedule_in(Duration::from_nanos(delay), [i; 13]);
+    };
+    for i in 0..256 {
+        cycle(&mut queue, i);
+    }
+    // A heap bucket allocates only when its depth passes its own
+    // high-water mark: on the clock's first crossing of each power of two,
+    // and on rarer and rarer depth records after that.  So the warm-up runs
+    // the clock past 2^35 ns, about 20 times the measured window's advance
+    // of about 2^31 ns, and the window must not reach 2^36 ns.
+    let mut i = 0;
+    while queue.now() < SimTime::from_nanos(1 << 35) {
+        std::hint::black_box(queue.pop());
+        cycle(&mut queue, i);
+        i += 1;
+    }
+    let delta = allocations_during(|| {
+        for i in 0..100_000 {
+            std::hint::black_box(queue.pop());
+            cycle(&mut queue, i);
+        }
+    });
+    assert!(queue.now() < SimTime::from_nanos(1 << 36));
+    assert_eq!(
+        delta, 0,
+        "a warmed event queue allocated {delta} times over 100k schedule/pop cycles"
+    );
+    assert_eq!(queue.len(), 256);
+    assert_eq!(queue.clamped_past(), 0);
+}
+
+#[test]
+fn default_length_lease_storm_rings_never_lap() {
+    let _serial = serialised();
+    // The benchmark's lease storm: 256 lease-holding streams with churn
+    // over 80 simulated seconds.  Each stream's ring is sized from its own
+    // expected calls; none may reclaim a slot from an unanswered call.
+    for seed in [1, 7, 1993] {
+        let mut cfg = SfsConfig::scaled(600.0, WritePolicy::Gathering, 256)
+            .with_leases(true)
+            .with_churn(Duration::from_secs(5))
+            .with_stability(StabilityMode::Unstable)
+            .with_unified_cache(4096);
+        cfg.duration = Duration::from_secs(80);
+        cfg.seed = seed;
+        let mut system = SfsSystem::new(cfg);
+        system.run();
+        assert_eq!(system.stale_overwrites(), 0, "seed {seed}");
+    }
 }
 
 #[test]
